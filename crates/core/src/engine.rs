@@ -816,18 +816,17 @@ impl Engine {
 }
 
 /// Prices a cached classification in approximate resident bytes, for
-/// [`EngineBuilder::cache_weight_capacity`]: a fixed overhead for the entry
-/// itself (key, slab node, map slot, synthesized algorithm core), plus the
-/// per-type tables and the unsolvability witness, the two components that
-/// actually grow with the problem. Deliberately coarse — the bound exists to
-/// keep cache memory proportional to what is cached, not to audit the
-/// allocator.
+/// [`EngineBuilder::cache_weight_capacity`]: the classification itself, its
+/// unsolvability witness, and what its synthesized algorithm owns on the
+/// heap ([`SynthesizedAlgorithm::heap_bytes`](crate::synthesis::SynthesizedAlgorithm::heap_bytes):
+/// problem copies, the type semigroup and the feasible structure).
 pub fn approximate_classification_weight(classification: &Arc<Classification>) -> u64 {
-    let types = classification.num_types() as u64;
     let witness = classification
         .unsolvability_witness()
-        .map_or(0, |w| w.len() as u64);
-    256 + 64 * types + 2 * witness
+        .map_or(0, |w| std::mem::size_of_val(w.inputs()));
+    let bytes =
+        std::mem::size_of::<Classification>() + witness + classification.algorithm().heap_bytes();
+    bytes as u64
 }
 
 /// Prices a whole [`CacheEntry`] in approximate resident bytes:

@@ -25,7 +25,6 @@ use crate::types_info::GapTypes;
 use crate::{ClassifierError, Result};
 use lcl_problem::{InLabel, NormalizedLcl, OutLabel};
 use lcl_semigroup::OutRelation;
-use std::collections::HashMap;
 
 /// A periodic output labeling for one primitive input pattern.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -37,24 +36,40 @@ pub struct PatternLabeling {
 }
 
 /// The outcome of a successful feasibility search.
+///
+/// The chosen block labeling of a context `(τ_left, S, τ_right)` depends on
+/// the two gap types only through `B(τ_left)` and `A(τ_right)`, so the
+/// feasible function is stored once per *class* of types sharing a facing
+/// set: a dense table indexed by
+/// `((left class · α + S₀) · α + S₁) · (number of right classes) + right class`.
 #[derive(Clone, Debug)]
 pub struct FeasibleStructure {
-    /// `A(τ)` for each quantified type (labels allowed to face the gap from
-    /// the left).
-    pub left_facing: Vec<Vec<OutLabel>>,
-    /// `B(τ)` for each quantified type (labels allowed to face the gap from
-    /// the right).
-    pub right_facing: Vec<Vec<OutLabel>>,
-    /// The feasible function: `(left type index, S₀, S₁, right type index) ↦
-    /// (first, last)` for the 2-node anchor blocks.
-    pub blocks: HashMap<(usize, u16, u16, usize), (OutLabel, OutLabel)>,
+    /// `A(τ)` for each quantified type, as a bitmask over `Σ_out` (labels
+    /// allowed to face the gap from the left).
+    pub left_facing: Vec<u64>,
+    /// `B(τ)` for each quantified type, as a bitmask over `Σ_out` (labels
+    /// allowed to face the gap from the right).
+    pub right_facing: Vec<u64>,
+    /// Per type: the class of its `B(τ)`, used when the type is the gap left
+    /// of an anchor block.
+    left_class: Vec<u32>,
+    /// Per type: the class of its `A(τ)`, used when the type is the gap right
+    /// of an anchor block.
+    right_class: Vec<u32>,
+    num_right_classes: usize,
+    /// `|Σ_in|`.
+    alpha: usize,
+    /// The feasible function `(first, last)` per class context, in the dense
+    /// layout described above.
+    blocks: Vec<(OutLabel, OutLabel)>,
     /// Periodic labelings per pattern (empty when only the `Θ(log* n)`-level
     /// structure was requested).
     pub patterns: Vec<PatternLabeling>,
 }
 
 impl FeasibleStructure {
-    /// Looks up the block labeling for a context.
+    /// Looks up the block labeling for a context; `None` for a type or input
+    /// label out of range.
     pub fn block(
         &self,
         left_type: usize,
@@ -62,8 +77,15 @@ impl FeasibleStructure {
         s1: InLabel,
         right_type: usize,
     ) -> Option<(OutLabel, OutLabel)> {
+        let left = *self.left_class.get(left_type)? as usize;
+        let right = *self.right_class.get(right_type)? as usize;
+        let (s0, s1) = (s0.index(), s1.index());
+        if s0 >= self.alpha || s1 >= self.alpha {
+            return None;
+        }
+        let context = (left * self.alpha + s0) * self.alpha + s1;
         self.blocks
-            .get(&(left_type, s0.0, s1.0, right_type))
+            .get(context * self.num_right_classes + right)
             .copied()
     }
 
@@ -71,6 +93,69 @@ impl FeasibleStructure {
     pub fn pattern_labeling(&self, pattern: &[InLabel]) -> Option<&PatternLabeling> {
         self.patterns.iter().find(|p| p.pattern == pattern)
     }
+
+    /// Heap bytes owned by the structure: facing masks, class indices, the
+    /// block table and the pattern labelings.
+    pub fn heap_bytes(&self) -> usize {
+        vec_bytes(&self.left_facing)
+            + vec_bytes(&self.right_facing)
+            + vec_bytes(&self.left_class)
+            + vec_bytes(&self.right_class)
+            + vec_bytes(&self.blocks)
+            + vec_bytes(&self.patterns)
+            + self
+                .patterns
+                .iter()
+                .map(|p| vec_bytes(&p.pattern) + vec_bytes(&p.labeling))
+                .sum::<usize>()
+    }
+}
+
+/// Heap bytes of a vector's buffer.
+pub(crate) fn vec_bytes<T>(v: &Vec<T>) -> usize {
+    v.capacity() * std::mem::size_of::<T>()
+}
+
+/// Numbers the distinct masks in order of first appearance: returns the
+/// class of each mask and the distinct masks.
+fn classes(masks: impl Iterator<Item = u64>) -> (Vec<u32>, Vec<u64>) {
+    let mut distinct: Vec<u64> = Vec::new();
+    let class = masks
+        .map(|mask| {
+            let found = distinct.iter().position(|&m| m == mask);
+            found.unwrap_or_else(|| {
+                distinct.push(mask);
+                distinct.len() - 1
+            }) as u32
+        })
+        .collect();
+    (class, distinct)
+}
+
+/// The first `(first, last)` pair, scanning `first` then `last` in label
+/// order, with `first ∈ firsts`, `last ∈ lasts` that satisfies the node
+/// constraints of `(s0, s1)` and the internal edge constraint.
+fn first_block_pair(
+    problem: &NormalizedLcl,
+    s0: InLabel,
+    s1: InLabel,
+    firsts: u64,
+    lasts: u64,
+) -> Option<(OutLabel, OutLabel)> {
+    let beta = problem.num_outputs();
+    for first in (0..beta).filter(|&f| firsts >> f & 1 == 1) {
+        let first = OutLabel::from_index(first);
+        if !problem.node_ok(s0, first) {
+            continue;
+        }
+        for last in (0..beta).filter(|&l| lasts >> l & 1 == 1) {
+            let last = OutLabel::from_index(last);
+            if problem.node_ok(s1, last) && problem.edge_ok(first, last) {
+                return Some((first, last));
+            }
+        }
+    }
+    None
 }
 
 /// One candidate biclique `(A, B)` of a connection relation, stored as
@@ -123,13 +208,6 @@ fn candidate_bicliques(conn: &OutRelation, beta: usize) -> Vec<Biclique> {
         }
     }
     out
-}
-
-fn mask_to_labels(mask: u64, beta: usize) -> Vec<OutLabel> {
-    (0..beta)
-        .filter(|&i| mask >> i & 1 == 1)
-        .map(OutLabel::from_index)
-        .collect()
 }
 
 /// Enumerates all valid periodic labelings of a pattern (labelings `y` with
@@ -291,39 +369,20 @@ fn blocks_exist(
     problem: &NormalizedLcl,
     right_facing_of_left_gap: u64,
     left_facing_of_right_gap: u64,
-    beta: usize,
 ) -> bool {
     let alpha = problem.num_inputs();
-    for s0 in 0..alpha {
-        for s1 in 0..alpha {
-            let mut found = false;
-            'search: for first in 0..beta {
-                if right_facing_of_left_gap >> first & 1 == 0 {
-                    continue;
-                }
-                let first_l = OutLabel::from_index(first);
-                if !problem.node_ok(InLabel::from_index(s0), first_l) {
-                    continue;
-                }
-                for last in 0..beta {
-                    if left_facing_of_right_gap >> last & 1 == 0 {
-                        continue;
-                    }
-                    let last_l = OutLabel::from_index(last);
-                    if problem.node_ok(InLabel::from_index(s1), last_l)
-                        && problem.edge_ok(first_l, last_l)
-                    {
-                        found = true;
-                        break 'search;
-                    }
-                }
-            }
-            if !found {
-                return false;
-            }
-        }
-    }
-    true
+    (0..alpha).all(|s0| {
+        (0..alpha).all(|s1| {
+            first_block_pair(
+                problem,
+                InLabel::from_index(s0),
+                InLabel::from_index(s1),
+                right_facing_of_left_gap,
+                left_facing_of_right_gap,
+            )
+            .is_some()
+        })
+    })
 }
 
 /// Searches for a feasible structure.
@@ -374,9 +433,7 @@ pub fn find_feasible(
     }
 
     struct Search<'a> {
-        info: &'a GapTypes,
         problem: &'a NormalizedLcl,
-        beta: usize,
         domains: &'a [Vec<Biclique>],
         assignment: Vec<Option<Biclique>>,
         nodes: usize,
@@ -394,11 +451,11 @@ pub fn find_feasible(
                 };
                 let this = choice;
                 // Block with left gap `other_idx` and right gap `idx`.
-                if !blocks_exist(self.problem, other.b, this.a, self.beta) {
+                if !blocks_exist(self.problem, other.b, this.a) {
                     return false;
                 }
                 // Block with left gap `idx` and right gap `other_idx`.
-                if !blocks_exist(self.problem, this.b, other.a, self.beta) {
+                if !blocks_exist(self.problem, this.b, other.a) {
                     return false;
                 }
             }
@@ -415,7 +472,6 @@ pub fn find_feasible(
             if idx == self.assignment.len() {
                 return Ok(true);
             }
-            let _ = self.info;
             for choice_idx in 0..self.domains[idx].len() {
                 let choice = self.domains[idx][choice_idx];
                 if !self.consistent_with(idx, choice) {
@@ -432,9 +488,7 @@ pub fn find_feasible(
     }
 
     let mut search = Search {
-        info,
         problem,
-        beta,
         domains: &domains,
         assignment: vec![None; num_types],
         nodes: 0,
@@ -445,14 +499,9 @@ pub fn find_feasible(
     }
     let assignment: Vec<Biclique> = search
         .assignment
-        .iter()
-        .map(|a| {
-            a.unwrap_or(Biclique {
-                a: (1 << beta) - 1,
-                b: (1 << beta) - 1,
-            })
-        })
-        .collect();
+        .into_iter()
+        .collect::<Option<_>>()
+        .expect("a successful search assigns every type");
 
     // Choose periodic labelings so that any two labeled periodic regions can
     // be bridged across an arbitrary middle (the `G_{w1,w2,S}` condition of
@@ -465,39 +514,18 @@ pub fn find_feasible(
         None => return Ok(None),
     };
 
-    // Materialize the block function.
+    // Materialize the block function once per pair of facing-set classes.
     let alpha = problem.num_inputs();
-    let mut blocks = HashMap::new();
-    for (li, left) in assignment.iter().enumerate() {
-        for (ri, right) in assignment.iter().enumerate() {
-            for s0 in 0..alpha {
-                for s1 in 0..alpha {
-                    let mut chosen = None;
-                    'pairs: for first in 0..beta {
-                        if left.b >> first & 1 == 0 {
-                            continue;
-                        }
-                        let first_l = OutLabel::from_index(first);
-                        if !problem.node_ok(InLabel::from_index(s0), first_l) {
-                            continue;
-                        }
-                        for last in 0..beta {
-                            if right.a >> last & 1 == 0 {
-                                continue;
-                            }
-                            let last_l = OutLabel::from_index(last);
-                            if problem.node_ok(InLabel::from_index(s1), last_l)
-                                && problem.edge_ok(first_l, last_l)
-                            {
-                                chosen = Some((first_l, last_l));
-                                break 'pairs;
-                            }
-                        }
-                    }
-                    match chosen {
-                        Some(pair) => {
-                            blocks.insert((li, s0 as u16, s1 as u16, ri), pair);
-                        }
+    let (left_class, left_masks) = classes(assignment.iter().map(|c| c.b));
+    let (right_class, right_masks) = classes(assignment.iter().map(|c| c.a));
+    let mut blocks = Vec::with_capacity(left_masks.len() * alpha * alpha * right_masks.len());
+    for &firsts in &left_masks {
+        for s0 in 0..alpha {
+            for s1 in 0..alpha {
+                let (s0, s1) = (InLabel::from_index(s0), InLabel::from_index(s1));
+                for &lasts in &right_masks {
+                    match first_block_pair(problem, s0, s1, firsts, lasts) {
+                        Some(pair) => blocks.push(pair),
                         None => return Ok(None),
                     }
                 }
@@ -506,14 +534,12 @@ pub fn find_feasible(
     }
 
     Ok(Some(FeasibleStructure {
-        left_facing: assignment
-            .iter()
-            .map(|b| mask_to_labels(b.a, beta))
-            .collect(),
-        right_facing: assignment
-            .iter()
-            .map(|b| mask_to_labels(b.b, beta))
-            .collect(),
+        left_facing: assignment.iter().map(|c| c.a).collect(),
+        right_facing: assignment.iter().map(|c| c.b).collect(),
+        left_class,
+        right_class,
+        num_right_classes: right_masks.len(),
+        alpha,
         blocks,
         patterns: chosen_patterns,
     }))

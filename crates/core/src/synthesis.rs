@@ -19,7 +19,7 @@
 //!   `Θ(n)` and unsolvable problems get the trivial gather-everything
 //!   algorithm.
 
-use crate::feasibility::FeasibleStructure;
+use crate::feasibility::{vec_bytes, FeasibleStructure};
 use crate::types_info::GapTypes;
 use lcl_algorithms::{
     classify_position, ruling_set_gap_bounds, ruling_set_radius, GatherAndSolve, PartitionParams,
@@ -73,6 +73,24 @@ impl LocalAlgorithm for SynthesizedAlgorithm {
             SynthesizedAlgorithm::LogStar(a) => a.name(),
             SynthesizedAlgorithm::GatherAll(a) => a.name(),
             SynthesizedAlgorithm::Restored(a) => a.name(),
+        }
+    }
+}
+
+impl SynthesizedAlgorithm {
+    /// Heap bytes owned by the algorithm: its copies of the problem and, for
+    /// the two fast algorithms, the cloned type semigroup and the feasible
+    /// structure.
+    pub fn heap_bytes(&self) -> usize {
+        match self {
+            SynthesizedAlgorithm::Constant(a) => {
+                a.core.heap_bytes() + a.gather.problem().heap_bytes()
+            }
+            SynthesizedAlgorithm::LogStar(a) => {
+                a.core.heap_bytes() + a.gather.problem().heap_bytes()
+            }
+            SynthesizedAlgorithm::GatherAll(a) => a.problem().heap_bytes(),
+            SynthesizedAlgorithm::Restored(a) => a.name.len() + a.gather.problem().heap_bytes(),
         }
     }
 }
@@ -135,6 +153,13 @@ impl SynthesisCore {
             structure,
             min_gap: info.min_gap(),
         }
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.problem.heap_bytes()
+            + self.semigroup.heap_bytes()
+            + vec_bytes(&self.quantified)
+            + self.structure.heap_bytes()
     }
 
     /// The quantified-type index of a gap word (must have length ≥ 1).

@@ -53,6 +53,19 @@ impl NormalizedLcl {
         &self.output
     }
 
+    /// Heap bytes owned by the problem: its name, both alphabets and the
+    /// two constraint tables.
+    pub fn heap_bytes(&self) -> usize {
+        let alphabet = |a: &Alphabet| {
+            std::mem::size_of_val(a.names()) + a.names().iter().map(String::capacity).sum::<usize>()
+        };
+        self.name.capacity()
+            + alphabet(&self.input)
+            + alphabet(&self.output)
+            + self.node_allowed.capacity()
+            + self.edge_allowed.capacity()
+    }
+
     /// `|Σ_in|`.
     pub fn num_inputs(&self) -> usize {
         self.input.len()

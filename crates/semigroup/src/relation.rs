@@ -32,6 +32,11 @@ impl OutRelation {
         }
     }
 
+    /// Heap bytes owned by the relation: its bit matrix.
+    pub fn heap_bytes(&self) -> usize {
+        self.bits.capacity() * std::mem::size_of::<u64>()
+    }
+
     /// Creates the identity relation on `n` labels.
     pub fn identity(n: usize) -> Self {
         let mut r = Self::empty(n);

@@ -228,6 +228,48 @@ impl TypeSemigroup {
         &self.system
     }
 
+    /// Heap bytes owned by the semigroup: its transfer system, the element
+    /// relations (each held twice, once as a key of the interning map), the
+    /// witnesses, the letter-step table and the length profile. The hash
+    /// table and B-tree node layouts are estimated, not read back from the
+    /// allocator.
+    pub fn heap_bytes(&self) -> usize {
+        fn vec_bytes<T>(v: &Vec<T>) -> usize {
+            v.capacity() * std::mem::size_of::<T>()
+        }
+        let relations: usize = self.elements.iter().map(OutRelation::heap_bytes).sum();
+        // A power-of-two bucket count at 7/8 load, one control byte per
+        // bucket plus one trailing group of 16.
+        let index = match self.index.capacity() {
+            0 => 0,
+            cap => {
+                let buckets = (cap * 8).div_ceil(7).next_power_of_two();
+                buckets * (std::mem::size_of::<(OutRelation, TypeId)>() + 1) + 16 + relations
+            }
+        };
+        let witness: usize = self.witness.iter().map(vec_bytes).sum();
+        let steps: usize = self.letter_step.iter().map(vec_bytes).sum();
+        // B-tree nodes hold up to 11 keys plus a 16-byte header; assume
+        // two-thirds full.
+        let node = 11 * std::mem::size_of::<TypeId>() + 16;
+        let profile: usize = self
+            .profile
+            .sets
+            .iter()
+            .map(|s| s.len().div_ceil(7) * node)
+            .sum();
+        self.system.heap_bytes()
+            + vec_bytes(&self.elements)
+            + relations
+            + index
+            + vec_bytes(&self.witness)
+            + witness
+            + vec_bytes(&self.letter_step)
+            + steps
+            + vec_bytes(&self.profile.sets)
+            + profile
+    }
+
     /// Number of distinct types.
     pub fn len(&self) -> usize {
         self.elements.len()

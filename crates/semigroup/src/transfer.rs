@@ -69,6 +69,19 @@ impl TransferSystem {
         &self.problem
     }
 
+    /// Heap bytes owned by the system: its copy of the problem and the edge
+    /// and letter relations.
+    pub fn heap_bytes(&self) -> usize {
+        self.problem.heap_bytes()
+            + self.edge.heap_bytes()
+            + self.letters.capacity() * std::mem::size_of::<OutRelation>()
+            + self
+                .letters
+                .iter()
+                .map(OutRelation::heap_bytes)
+                .sum::<usize>()
+    }
+
     /// `|Σ_out|`.
     pub fn dim(&self) -> usize {
         self.problem.num_outputs()
