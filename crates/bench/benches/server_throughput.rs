@@ -561,7 +561,7 @@ fn splice_compare(specs: &[lcl_problem::ProblemSpec]) -> (Duration, Duration, us
 
     const SPLICE_SWEEPS: usize = 30;
     const SPLICE_ROUNDS: usize = 8;
-    let service = Service::new(Engine::builder().parallelism(1).build());
+    let service = Arc::new(Service::new(Engine::builder().parallelism(1).build()));
     let input: String = specs
         .iter()
         .enumerate()
@@ -570,7 +570,7 @@ fn splice_compare(specs: &[lcl_problem::ProblemSpec]) -> (Duration, Duration, us
             RequestEnvelope::new(i as i64, "classify", payload).to_json_string() + "\n"
         })
         .collect();
-    let sweep = |service: &Service| -> Vec<u8> {
+    let sweep = |service: &Arc<Service>| -> Vec<u8> {
         let mut output = Vec::with_capacity(64 * 1024);
         serve_stdio(service, input.as_bytes(), &mut output).expect("stdio sweep");
         output

@@ -113,27 +113,27 @@ impl GapTypes {
 
     /// A word of length `≥ L_min` whose type is `t` (which must be a
     /// quantified type). Constructed by a forward walk over the type
-    /// automaton.
+    /// automaton, in `TypeId` order, so the witness is the same in every
+    /// process: for each type the first word that reaches it is kept.
     fn long_witness(&self, t: TypeId) -> Vec<lcl_problem::InLabel> {
-        use std::collections::HashMap;
         let alpha = self.system.num_letters();
+        let letters = || (0..alpha).map(lcl_problem::InLabel::from_index);
         // words[type] = some word of the current length with that type.
-        let mut words: HashMap<TypeId, Vec<lcl_problem::InLabel>> = HashMap::new();
-        for a in 0..alpha {
-            let a = lcl_problem::InLabel::from_index(a);
+        let mut words: Vec<Option<Vec<lcl_problem::InLabel>>> = vec![None; self.semigroup.len()];
+        for a in letters() {
             if let Ok(ty) = self.semigroup.type_of_word(&[a]) {
-                words.entry(ty).or_insert_with(|| vec![a]);
+                words[ty.index()].get_or_insert_with(|| vec![a]);
             }
         }
         let profile = self.semigroup.length_profile();
         let horizon = self.min_gap + profile.preperiod + profile.period + 1;
         for len in 2..=horizon {
-            let mut next: HashMap<TypeId, Vec<lcl_problem::InLabel>> = HashMap::new();
-            for (ty, word) in &words {
-                for a in 0..alpha {
-                    let a = lcl_problem::InLabel::from_index(a);
-                    let stepped = self.semigroup.step(*ty, a);
-                    next.entry(stepped).or_insert_with(|| {
+            let mut next = vec![None; words.len()];
+            for (ty, word) in words.iter().enumerate() {
+                let Some(word) = word else { continue };
+                for a in letters() {
+                    let stepped = self.semigroup.step(TypeId(ty), a);
+                    next[stepped.index()].get_or_insert_with(|| {
                         let mut w = word.clone();
                         w.push(a);
                         w
@@ -142,7 +142,7 @@ impl GapTypes {
             }
             words = next;
             if len >= self.min_gap {
-                if let Some(w) = words.get(&t) {
+                if let Some(w) = &words[t.index()] {
                     return w.clone();
                 }
             }

@@ -36,7 +36,8 @@ const MIN_RETRY_MILLIS: u64 = 10;
 const MAX_RETRY_MILLIS: u64 = 5_000;
 
 /// Per-peer quota buckets are capped at this many tracked peers; beyond
-/// it, stale buckets are evicted before a new peer is admitted.
+/// it, stale buckets are evicted before a new peer is admitted, and when
+/// none is stale the newcomer shares the sentinel bucket.
 const MAX_TRACKED_PEERS: usize = 10_000;
 
 /// Admission-control thresholds, all disabled (0) by default.
@@ -178,12 +179,25 @@ impl QuotaLimiter {
             Ok(guard) => guard,
             Err(poisoned) => poisoned.into_inner(),
         };
-        if buckets.len() >= MAX_TRACKED_PEERS && !buckets.contains_key(&peer) {
+        // A new peer only gets its own bucket while one slot stays free for
+        // the sentinel bucket, which peers past the cap share.
+        let sentinel = Self::sentinel_peer();
+        let full = |buckets: &HashMap<IpAddr, Bucket>| {
+            buckets.len() + usize::from(!buckets.contains_key(&sentinel)) >= MAX_TRACKED_PEERS
+        };
+        let mut peer = peer;
+        if !buckets.contains_key(&peer) && full(&buckets) {
             // Evict refilled-to-burst buckets: they carry no state a fresh
             // bucket would not.
             let (rps, burst) = (self.rps, self.burst);
             buckets
                 .retain(|_, bucket| refilled(bucket.tokens, bucket.last, now, rps, burst) < burst);
+            // Every tracked peer is still limited: evicting one would hand
+            // it a fresh burst, so the newcomer is accounted under the
+            // sentinel bucket instead and the table stays within the cap.
+            if full(&buckets) {
+                peer = sentinel;
+            }
         }
         let bucket = buckets.entry(peer).or_insert(Bucket {
             tokens: self.burst,
@@ -338,5 +352,24 @@ mod tests {
         let newcomer = IpAddr::from([203, 0, 113, 1]);
         limiter.admit(newcomer, late).expect("admit after sweep");
         assert_eq!(limiter.tracked_peers(), 1);
+    }
+
+    #[test]
+    fn limited_peers_never_grow_the_table_past_the_cap() {
+        let limiter = QuotaLimiter::new(&config(0, 0, 1_000, 1)).expect("enabled");
+        let t0 = Instant::now();
+        for n in 0..MAX_TRACKED_PEERS {
+            let peer = IpAddr::from(u32::try_from(n).expect("fits").to_be_bytes());
+            limiter.admit(peer, t0).expect("admit");
+        }
+        // Nothing has refilled at t0, so the sweep frees nothing: the
+        // newcomer is accounted under the (spent) sentinel bucket rather
+        // than growing the table or getting a fresh burst of its own.
+        let newcomer = IpAddr::from([203, 0, 113, 1]);
+        assert!(limiter.admit(newcomer, t0).is_err(), "no fresh burst");
+        assert!(limiter.tracked_peers() <= MAX_TRACKED_PEERS);
+        let v6 = IpAddr::from([0x2001, 0xdb8, 0, 0, 0, 0, 0, 1]);
+        assert!(limiter.admit(v6, t0).is_err());
+        assert!(limiter.tracked_peers() <= MAX_TRACKED_PEERS);
     }
 }

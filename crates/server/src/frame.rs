@@ -1,14 +1,23 @@
-//! Bounded NDJSON frame reading and writing.
+//! NDJSON framing: bytes in, frames out; replies out, in order.
 //!
-//! Both the TCP connection handler and the stdio loop read frames through
-//! [`read_frame`], which enforces [`MAX_FRAME_BYTES`]: an oversized line is
-//! consumed (and discarded) up to its terminating newline, so the connection
-//! stays usable and the offender gets a structured error reply instead of
-//! unbounded buffering or a dropped stream. Responses leave through
-//! [`write_frame`], which appends the newline terminator but deliberately
-//! does **not** flush — the TCP writer thread batches several pipelined
-//! replies per flush, while the stdio loop flushes after every frame.
+//! Every front-end — the epoll reactor, the thread backend and stdio —
+//! turns its input bytes into request frames through one [`FrameDecoder`].
+//! The decoder owns every framing rule: the [`MAX_FRAME_BYTES`] bound (an
+//! oversized line is discarded up to its newline and surfaces as
+//! [`Frame::Oversized`], so the connection stays usable and the offender
+//! gets a structured error reply instead of unbounded buffering), skipping
+//! blank lines, lossy UTF-8 decoding, and treating a final unterminated
+//! line at end of stream as a frame. The reactor pushes whatever its
+//! nonblocking reads return; the blocking front-ends go through
+//! [`read_frame`], a thin loop over the decoder.
+//!
+//! Replies leave the blocking front-ends through [`write_reply`], the
+//! ordered-reply writer shared by the thread backend and stdio. It appends
+//! newline terminators but flushes only while it waits on a still-running
+//! job or after a `solve_stream` chunk: the thread backend batches several
+//! pipelined replies per flush, stdio flushes after every reply.
 
+use crate::service::{PendingResponse, StreamFrame};
 use std::io::{self, BufRead, Write};
 use std::time::Instant;
 
@@ -17,12 +26,12 @@ use std::time::Instant;
 /// terminate the connection.
 pub const MAX_FRAME_BYTES: usize = 1 << 20;
 
-/// Outcome of reading one frame.
+/// One decoded request frame.
 #[derive(Debug, PartialEq, Eq)]
 pub(crate) enum Frame {
-    /// A complete line (without its newline). Invalid UTF-8 is replaced
-    /// lossily — the JSON parser then rejects the frame with a structured
-    /// error rather than the reader killing the connection.
+    /// A complete, non-blank line (without its newline). Invalid UTF-8 is
+    /// replaced lossily — the JSON parser then rejects the frame with a
+    /// structured error rather than the reader killing the connection.
     Line(String),
     /// The line exceeded the limit; it was consumed and dropped.
     Oversized {
@@ -32,74 +41,177 @@ pub(crate) enum Frame {
         /// When the overflow was detected — draining the rest of a multi-MB
         /// frame can take real time, and accounting it from this instant
         /// (rather than from after the drain) keeps the `invalid` latency
-        /// histogram honest ([`Service::reject_oversized_at`]).
-        ///
-        /// [`Service::reject_oversized_at`]: crate::Service::reject_oversized_at
+        /// histogram honest.
         started: Instant,
     },
-    /// Clean end of stream.
-    Eof,
 }
 
-/// Reads one `\n`-terminated frame of at most `max` bytes.
+/// The incremental frame decoder: push bytes as they arrive, pull frames
+/// with [`FrameDecoder::next_frame`].
 ///
-/// A final unterminated line at EOF is returned as a normal line (pipes often
-/// omit the trailing newline). I/O errors abort the read.
-pub(crate) fn read_frame(reader: &mut impl BufRead, max: usize) -> io::Result<Frame> {
-    let mut buf: Vec<u8> = Vec::new();
-    let mut overflowed: Option<Instant> = None;
-    let mut discarded = 0usize;
-    loop {
-        let (done, used, eof) = {
-            let available = reader.fill_buf()?;
-            if available.is_empty() {
-                (true, 0, true)
-            } else if let Some(pos) = available.iter().position(|&b| b == b'\n') {
-                if overflowed.is_some() {
-                    discarded += pos;
-                } else if buf.len() + pos > max {
-                    overflowed = Some(Instant::now());
-                    discarded = buf.len() + pos;
-                } else {
-                    buf.extend_from_slice(&available[..pos]);
-                }
-                (true, pos + 1, false)
-            } else {
-                if overflowed.is_some() {
-                    discarded += available.len();
-                } else if buf.len() + available.len() > max {
-                    overflowed = Some(Instant::now());
-                    discarded = buf.len() + available.len();
-                    buf.clear();
-                } else {
-                    buf.extend_from_slice(available);
-                }
-                (false, available.len(), false)
-            }
-        };
-        reader.consume(used);
-        if done {
-            return Ok(if let Some(started) = overflowed {
-                Frame::Oversized { discarded, started }
-            } else if eof && buf.is_empty() {
-                Frame::Eof
-            } else {
-                Frame::Line(into_string(buf))
-            });
+/// Frames are consumed by advancing a cursor; the consumed prefix is
+/// dropped once per [`FrameDecoder::push`], so a burst of N buffered frames
+/// costs O(buffer) rather than O(N × buffer) in byte moves.
+#[derive(Debug)]
+pub(crate) struct FrameDecoder {
+    max: usize,
+    buf: Vec<u8>,
+    /// Start of the undecoded region of `buf`.
+    start: usize,
+    /// Scan position: `buf[start..scanned]` holds no newline.
+    scanned: usize,
+    /// Mid-discard of an oversized line: when it was detected and how many
+    /// bytes of it were dropped so far.
+    overflow: Option<(Instant, usize)>,
+}
+
+impl FrameDecoder {
+    /// A decoder that rejects lines longer than `max` bytes.
+    pub(crate) fn new(max: usize) -> FrameDecoder {
+        FrameDecoder {
+            max,
+            buf: Vec::new(),
+            start: 0,
+            scanned: 0,
+            overflow: None,
         }
+    }
+
+    /// Appends freshly read bytes.
+    pub(crate) fn push(&mut self, bytes: &[u8]) {
+        if self.start > 0 {
+            self.buf.drain(..self.start);
+            self.scanned -= self.start;
+            self.start = 0;
+        }
+        self.buf.extend_from_slice(bytes);
+    }
+
+    /// Bytes buffered but not yet decoded.
+    pub(crate) fn buffered(&self) -> usize {
+        self.buf.len() - self.start
+    }
+
+    /// Nothing buffered and no oversized line in progress.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.buffered() == 0 && self.overflow.is_none()
+    }
+
+    /// The next complete frame, or `None` until more bytes arrive. With
+    /// `eof` set (the stream ended) the trailing unterminated line — or the
+    /// oversized line being discarded — is a frame too.
+    pub(crate) fn next_frame(&mut self, eof: bool) -> Option<Frame> {
+        loop {
+            let newline = self.buf[self.scanned..]
+                .iter()
+                .position(|&b| b == b'\n')
+                .map(|pos| self.scanned + pos);
+            let end = newline.unwrap_or(self.buf.len());
+            let len = end - self.start;
+            if let Some((started, discarded)) = self.overflow {
+                self.consume_to(newline.map_or(end, |pos| pos + 1));
+                if newline.is_none() && !eof {
+                    self.overflow = Some((started, discarded + len));
+                    return None;
+                }
+                self.overflow = None;
+                return Some(Frame::Oversized {
+                    discarded: discarded + len,
+                    started,
+                });
+            }
+            if len > self.max {
+                self.overflow = Some((Instant::now(), 0));
+                continue; // the overflow branch consumes and counts it
+            }
+            if newline.is_none() && (!eof || len == 0) {
+                self.scanned = end;
+                return None;
+            }
+            let bytes = &self.buf[self.start..end];
+            let line = String::from_utf8(bytes.to_vec())
+                .unwrap_or_else(|_| String::from_utf8_lossy(bytes).into_owned());
+            self.consume_to(newline.map_or(end, |pos| pos + 1));
+            if !line.trim().is_empty() {
+                return Some(Frame::Line(line));
+            }
+        }
+    }
+
+    fn consume_to(&mut self, to: usize) {
+        self.start = to;
+        self.scanned = to;
     }
 }
 
-/// Bytes to text, replacing invalid UTF-8 lossily — the JSON parser then
-/// rejects the frame with a structured error rather than the reader killing
-/// the connection. Shared with the reactor's frame scanner.
-pub(crate) fn into_string(bytes: Vec<u8>) -> String {
-    String::from_utf8(bytes).unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
+/// Reads the next frame from a blocking reader, pulling more bytes only
+/// when no complete frame is buffered; `None` at end of stream. I/O errors
+/// abort the read.
+pub(crate) fn read_frame(
+    reader: &mut impl BufRead,
+    decoder: &mut FrameDecoder,
+) -> io::Result<Option<Frame>> {
+    loop {
+        if let Some(frame) = decoder.next_frame(false) {
+            return Ok(Some(frame));
+        }
+        let available = reader.fill_buf()?;
+        if available.is_empty() {
+            return Ok(decoder.next_frame(true));
+        }
+        let n = available.len();
+        decoder.push(available);
+        reader.consume(n);
+    }
 }
 
-/// Writes one response frame (`line` must not contain a newline) and its
-/// `\n` terminator. Flushing is the caller's policy.
-pub(crate) fn write_frame(writer: &mut impl Write, line: &str) -> io::Result<()> {
+/// Writes one dispatched request's reply frames, in order, ending with its
+/// terminal frame, then stamps the request's write stage. While the job is
+/// still running, everything written so far is flushed before parking on
+/// it; `solve_stream` chunks are flushed as they arrive, so the peer sees
+/// labeling progress while the job is still producing. The terminal frame
+/// itself is not flushed — that is the caller's batching policy.
+///
+/// On an I/O error the caller drops `pending`, which closes the frame
+/// channel and aborts a producing stream.
+pub(crate) fn write_reply(
+    writer: &mut impl Write,
+    pending: &mut PendingResponse,
+) -> io::Result<()> {
+    loop {
+        let frame = match pending.try_frame() {
+            Some(frame) => frame,
+            None => {
+                writer.flush()?;
+                pending.wait_frame()
+            }
+        };
+        match frame {
+            StreamFrame::Chunk(line) => {
+                write_frame(writer, &line)?;
+                writer.flush()?;
+            }
+            StreamFrame::Final(line) => {
+                write_frame(writer, &line)?;
+                break;
+            }
+            // The spliced pieces stream straight into the writer; no
+            // per-frame `String` is assembled.
+            StreamFrame::Spliced(spliced) => {
+                spliced.write_to(writer)?;
+                break;
+            }
+        }
+    }
+    if let Some(trace) = pending.take_trace() {
+        trace.finish_written();
+    }
+    Ok(())
+}
+
+/// Writes one frame (`line` must not contain a newline) and its `\n`
+/// terminator.
+fn write_frame(writer: &mut impl Write, line: &str) -> io::Result<()> {
     writer.write_all(line.as_bytes())?;
     writer.write_all(b"\n")
 }
@@ -111,35 +223,35 @@ mod tests {
 
     fn frames(input: &[u8], max: usize) -> Vec<Frame> {
         let mut reader = BufReader::with_capacity(7, input); // tiny buffer: force refills
+        let mut decoder = FrameDecoder::new(max);
         let mut out = Vec::new();
-        loop {
-            let frame = read_frame(&mut reader, max).unwrap();
-            let eof = frame == Frame::Eof;
+        while let Some(frame) = read_frame(&mut reader, &mut decoder).unwrap() {
             out.push(frame);
-            if eof {
-                return out;
-            }
         }
+        assert!(decoder.is_empty(), "end of stream drains the decoder");
+        out
     }
 
     #[test]
-    fn splits_lines_and_reports_eof() {
+    fn splits_lines() {
         let got = frames(b"one\ntwo\n", 100);
         assert_eq!(
             got,
-            vec![
-                Frame::Line("one".into()),
-                Frame::Line("two".into()),
-                Frame::Eof
-            ]
+            vec![Frame::Line("one".into()), Frame::Line("two".into())]
         );
     }
 
     #[test]
     fn final_unterminated_line_is_returned() {
         let got = frames(b"tail-no-newline", 100);
-        assert_eq!(got[0], Frame::Line("tail-no-newline".into()));
-        assert_eq!(got[1], Frame::Eof);
+        assert_eq!(got, vec![Frame::Line("tail-no-newline".into())]);
+    }
+
+    #[test]
+    fn blank_lines_are_skipped() {
+        let got = frames(b"\n  \n\r\na\n\t\n \n", 100);
+        assert_eq!(got, vec![Frame::Line("a".into())]);
+        assert!(frames(b"\n \n   ", 100).is_empty());
     }
 
     #[test]
@@ -154,18 +266,27 @@ mod tests {
             got[0]
         );
         assert_eq!(got[1], Frame::Line("ok".into()));
-        assert_eq!(got[2], Frame::Eof);
+        assert_eq!(got.len(), 2);
     }
 
     #[test]
     fn oversized_line_at_eof_is_reported() {
         let got = frames(&[b'x'; 40], 10);
         assert!(
-            matches!(got[0], Frame::Oversized { discarded: 40, .. }),
-            "{:?}",
-            got[0]
+            matches!(got[..], [Frame::Oversized { discarded: 40, .. }]),
+            "{got:?}"
         );
-        assert_eq!(got[1], Frame::Eof);
+    }
+
+    #[test]
+    fn oversized_blank_line_is_still_oversized() {
+        let mut input = vec![b' '; 20];
+        input.push(b'\n');
+        let got = frames(&input, 10);
+        assert!(
+            matches!(got[..], [Frame::Oversized { discarded: 20, .. }]),
+            "{got:?}"
+        );
     }
 
     #[test]
@@ -183,5 +304,36 @@ mod tests {
         input.push(b'\n');
         let got = frames(&input, 10);
         assert_eq!(got[0], Frame::Line("a".repeat(10)));
+        let got = frames(&[b'a'; 10], 10);
+        assert_eq!(got, vec![Frame::Line("a".repeat(10))], "also at eof");
+    }
+
+    #[test]
+    fn pushes_of_any_size_decode_identically() {
+        let mut input = b"{\"a\":1}\n\n".to_vec();
+        input.extend(std::iter::repeat_n(b'z', 37));
+        input.extend_from_slice(b"\nmid\xffdle\n  \nlast");
+        let whole = frames(&input, 16);
+        for step in 1..input.len() {
+            let mut decoder = FrameDecoder::new(16);
+            let mut got = Vec::new();
+            for chunk in input.chunks(step) {
+                decoder.push(chunk);
+                while let Some(frame) = decoder.next_frame(false) {
+                    got.push(frame);
+                }
+            }
+            got.extend(decoder.next_frame(true));
+            assert_eq!(got.len(), whole.len(), "step {step}");
+            for (a, b) in got.iter().zip(&whole) {
+                match (a, b) {
+                    (
+                        Frame::Oversized { discarded: x, .. },
+                        Frame::Oversized { discarded: y, .. },
+                    ) => assert_eq!(x, y, "step {step}"),
+                    _ => assert_eq!(a, b, "step {step}"),
+                }
+            }
+        }
     }
 }

@@ -14,12 +14,17 @@
 //! `stats`, `health`, `metrics` and `snapshot` (see `docs/PROTOCOL.md` at the
 //! repository root for the full specification). `solve_stream` labels paths and cycles of
 //! millions of nodes without ever materializing them: the reply is a
-//! sequence of ordered chunk frames ([`StreamFrame`]) bounded by
+//! sequence of ordered chunk frames bounded by
 //! [`Service::max_chunk_bytes`], produced under end-to-end backpressure on
-//! both backends; `generate` draws seeded problems from the
+//! every front-end; `generate` draws seeded problems from the
 //! [`lcl_paths::gen`] workload families.
 //!
-//! The same [`Service`] dispatch runs over two framings:
+//! Every front-end takes one frame path: bytes → one incremental NDJSON
+//! decoder (`frame.rs`, which owns the 1 MiB bound, blank-line skipping,
+//! lossy UTF-8 and the final-unterminated-line rule) → `Service::dispatch`
+//! (splice hits, admission denials and oversized frames answered on the
+//! calling thread, everything else one worker-pool job) → in-order reply.
+//! The front-ends differ only in how they move bytes:
 //!
 //! * **TCP** ([`Server`]) — *pipelined* connections: every frame is
 //!   dispatched into the engine's *persistent worker pool* immediately
@@ -34,7 +39,7 @@
 //!   backend (a reader/writer thread pair per connection).
 //!   [`Server::max_conns`] caps the accepted-connection count either way;
 //! * **stdio** ([`serve_stdio`]) — the `lcl-serve --stdio` pipe mode, same
-//!   frames over stdin/stdout, lock-step.
+//!   frames over stdin/stdout: a connection with an in-flight window of one.
 //!
 //! [`Client`] is the matching blocking client helper used by the integration
 //! tests, the CI smoke step and the `server_throughput` bench;
@@ -93,10 +98,7 @@ pub use expo::{render_exposition, validate_exposition};
 pub use frame::MAX_FRAME_BYTES;
 pub use metrics::{KindStats, ServerMetrics};
 pub use scrape::MetricsListener;
-pub use service::{
-    error_reply, PendingResponse, RequestKind, Service, StreamFrame, DEFAULT_MAX_CHUNK_BYTES,
-};
-pub use splice::SplicedReply;
+pub use service::{error_reply, RequestKind, Service, DEFAULT_MAX_CHUNK_BYTES};
 pub use stdio::serve_stdio;
 pub use tcp::{Backend, Server, ServerHandle, BACKEND_ENV_VAR, DEFAULT_MAX_INFLIGHT};
 pub use trace::{slow_trace_line, TraceSink, DEFAULT_TRACE_RING_CAPACITY};

@@ -13,17 +13,18 @@
 //!   connection socket (all nonblocking) and an [`EventFd`] waker, parked in
 //!   `epoll_wait` when nothing is ready.
 //! * **Per-connection state machines** ([`Conn`]) carry what the thread
-//!   backend kept in stack frames: a partial-frame read buffer, the in-order
-//!   queue of [`PendingReply`]s, the serialized-but-unwritten output bytes,
-//!   and the in-flight window accounting (a slot is taken when a frame is
-//!   dispatched and released when its reply's bytes have been fully written
-//!   to the socket).
+//!   backend kept in stack frames: a [`FrameDecoder`] holding the partial
+//!   frame (the same decoder, and so the same framing rules, as the other
+//!   front-ends), the in-order queue of [`PendingResponse`]s, the
+//!   serialized-but-unwritten output bytes, and the in-flight window
+//!   accounting (a slot is taken when a frame is dispatched and released
+//!   when its reply's bytes have been fully written to the socket).
 //! * **Completion signaling** replaces the parked writer thread: every
-//!   dispatched frame carries a notify hook
-//!   ([`Service::dispatch_line_notify`] →
-//!   [`lcl_paths::Engine::dispatch_notify`]) that marks the connection
-//!   dirty and signals the eventfd once the reply is observable, so the
-//!   reactor wakes, resolves the connection's queue head and writes.
+//!   frame is dispatched (`Service::dispatch` →
+//!   [`lcl_paths::Engine::dispatch_notify`]) with a notify hook that marks
+//!   the connection dirty and signals the eventfd once the reply is
+//!   observable, so the reactor wakes, resolves the connection's queue head
+//!   and writes.
 //! * **Interest toggling** drives backpressure both ways: read interest is
 //!   dropped while the window is full (the peer's frames pend in kernel
 //!   buffers as plain TCP flow control), write interest is raised only
@@ -40,10 +41,9 @@ mod sys;
 
 pub(crate) use poll::EventFd;
 
-use crate::frame::{into_string, MAX_FRAME_BYTES};
-use crate::service::{Service, StreamFrame};
+use crate::frame::{FrameDecoder, MAX_FRAME_BYTES};
+use crate::service::{PendingResponse, Service, StreamFrame};
 use crate::splice::FRAME_TAIL;
-use crate::tcp::PendingReply;
 use crate::trace::Trace;
 use poll::{Epoll, EpollEvent, EPOLLIN, EPOLLOUT, EVENT_BATCH};
 use std::collections::{HashMap, VecDeque};
@@ -52,7 +52,6 @@ use std::net::{IpAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 use sys::IoVec;
 
 /// Epoll token of the listening socket.
@@ -403,27 +402,14 @@ struct Conn {
     window: usize,
     /// The peer's IP, captured at accept time for per-client quotas.
     peer: Option<IpAddr>,
-    /// Bytes read off the socket, not yet consumed as frames.
-    read_buf: Vec<u8>,
-    /// Start of the unconsumed region in `read_buf`; frames are consumed by
-    /// advancing this cursor, and `parse` compacts the buffer once per call.
-    consumed: usize,
-    /// Scan position: `read_buf[consumed..scanned]` holds no newline.
-    scanned: usize,
-    /// Mid-discard of an oversized frame (no newline seen yet).
-    overflowed: bool,
-    /// When the in-progress overflow was detected, so the rejection
-    /// accounts the full discard drain into the `invalid` histogram
-    /// (mirrors `frame::read_frame`'s `Frame::Oversized::started`).
-    overflow_started: Option<Instant>,
-    /// Bytes discarded so far from the oversized frame.
-    discarded: usize,
+    /// Bytes read off the socket, not yet decoded into frames.
+    decoder: FrameDecoder,
     /// Peer half-closed its write side; drain the window, then finish.
     eof: bool,
     /// Unrecoverable socket error; finish immediately.
     dead: bool,
     /// In-order reply queue: one entry per dispatched frame.
-    pending: VecDeque<PendingReply>,
+    pending: VecDeque<PendingResponse>,
     /// Window slots taken: frames dispatched whose replies are not yet
     /// fully written to the socket. Always `<= window`.
     inflight: usize,
@@ -457,12 +443,7 @@ impl Conn {
             token,
             window,
             peer,
-            read_buf: Vec::new(),
-            consumed: 0,
-            scanned: 0,
-            overflowed: false,
-            overflow_started: None,
-            discarded: 0,
+            decoder: FrameDecoder::new(MAX_FRAME_BYTES),
             eof: false,
             dead: false,
             pending: VecDeque::new(),
@@ -477,13 +458,14 @@ impl Conn {
         }
     }
 
-    /// Runs read → parse/dispatch → resolve → write until no stage can make
-    /// progress. Stages feed each other in both directions (writing releases
-    /// window slots, which unblocks parsing), hence the fixpoint loop.
+    /// Runs read → decode/dispatch → resolve → write until no stage can
+    /// make progress. Stages feed each other in both directions (writing
+    /// releases window slots, which unblocks decoding), hence the fixpoint
+    /// loop.
     fn pump(&mut self, service: &Arc<Service>, control: &Arc<Control>) {
         loop {
             let mut progressed = self.fill();
-            progressed |= self.parse(service, control);
+            progressed |= self.decode(service, control);
             progressed |= self.resolve(service);
             progressed |= self.flush(service);
             if !progressed || self.dead {
@@ -499,8 +481,7 @@ impl Conn {
             || (self.eof
                 && self.pending.is_empty()
                 && self.out_written == self.out_enqueued
-                && self.read_buf.is_empty()
-                && !self.overflowed)
+                && self.decoder.is_empty())
     }
 
     /// The epoll interest this connection currently needs: readable while
@@ -520,17 +501,17 @@ impl Conn {
     /// the buffer is below its cap. Not reading on a full window is the
     /// backpressure contract: the peer's frames pend in kernel buffers as
     /// ordinary TCP flow control. The buffer cap (one maximum frame plus a
-    /// read chunk) keeps a flooding client from growing `read_buf` past
-    /// what the parser can consume — anything buffered beyond
-    /// `MAX_FRAME_BYTES` already guarantees the parser a complete frame or
-    /// an oversized rejection, so further bytes can stay in the kernel.
+    /// read chunk) keeps a flooding client from growing the decoder past
+    /// what it can consume — anything buffered beyond `MAX_FRAME_BYTES`
+    /// already guarantees the decoder a complete frame or an oversized
+    /// rejection, so further bytes can stay in the kernel.
     fn fill(&mut self) -> bool {
         if self.eof || self.dead || self.inflight >= self.window {
             return false;
         }
         let mut progressed = false;
         let mut chunk = [0u8; READ_CHUNK];
-        while self.read_buf.len() <= MAX_FRAME_BYTES {
+        while self.decoder.buffered() <= MAX_FRAME_BYTES {
             match self.stream.read(&mut chunk) {
                 Ok(0) => {
                     self.eof = true;
@@ -538,7 +519,7 @@ impl Conn {
                     break;
                 }
                 Ok(n) => {
-                    self.read_buf.extend_from_slice(&chunk[..n]);
+                    self.decoder.push(&chunk[..n]);
                     progressed = true;
                     if n < chunk.len() {
                         break; // socket very likely drained
@@ -555,117 +536,24 @@ impl Conn {
         progressed
     }
 
-    /// Consumes complete frames from `read_buf` — dispatching each into the
-    /// worker pool with this connection's completion hook — while window
-    /// slots are available. Mirrors `frame::read_frame` exactly: blank lines
-    /// are skipped without a reply, over-limit lines are discarded up to
-    /// their newline and answered with a structured rejection, a final
-    /// unterminated line at EOF counts as a frame.
-    ///
-    /// Frames are consumed by advancing the `consumed` cursor; the buffer
-    /// is compacted **once** per call, so a burst of N buffered frames
-    /// costs O(buffer) rather than O(N × buffer) in byte moves.
-    fn parse(&mut self, service: &Arc<Service>, control: &Arc<Control>) -> bool {
+    /// Decodes buffered frames — dispatching each into the worker pool with
+    /// this connection's completion hook — while window slots are
+    /// available. Every frame, oversized rejections included, takes a slot
+    /// until its reply is written.
+    fn decode(&mut self, service: &Arc<Service>, control: &Arc<Control>) -> bool {
         let mut progressed = false;
         while self.inflight < self.window && !self.dead {
-            if self.overflowed {
-                match find_newline(&self.read_buf, self.consumed) {
-                    Some(pos) => {
-                        self.discarded += pos - self.consumed;
-                        self.consume_to(pos + 1);
-                        self.finish_overflow(service);
-                        progressed = true;
-                    }
-                    None => {
-                        self.discarded += self.read_buf.len() - self.consumed;
-                        self.consume_to(self.read_buf.len());
-                        if !self.eof {
-                            break; // need more bytes (or the close)
-                        }
-                        self.finish_overflow(service);
-                        progressed = true;
-                    }
-                }
-                continue;
-            }
-            match find_newline(&self.read_buf, self.scanned.max(self.consumed)) {
-                Some(pos) if pos - self.consumed > MAX_FRAME_BYTES => {
-                    // The whole line arrived before the limit check could
-                    // interrupt it; reject it exactly like a streamed one.
-                    self.overflow_started = Some(Instant::now());
-                    self.discarded = pos - self.consumed;
-                    self.consume_to(pos + 1);
-                    self.finish_overflow(service);
-                    progressed = true;
-                }
-                Some(pos) => {
-                    let line = into_string(self.read_buf[self.consumed..pos].to_vec());
-                    self.consume_to(pos + 1);
-                    if !line.trim().is_empty() {
-                        self.dispatch(line, service, control);
-                    }
-                    progressed = true;
-                }
-                None if self.read_buf.len() - self.consumed > MAX_FRAME_BYTES => {
-                    self.overflowed = true;
-                    self.overflow_started = Some(Instant::now());
-                    self.discarded = self.read_buf.len() - self.consumed;
-                    self.consume_to(self.read_buf.len());
-                    progressed = true;
-                }
-                None if self.eof && self.consumed < self.read_buf.len() => {
-                    // Final unterminated line (pipes often omit the newline).
-                    let line = into_string(self.read_buf[self.consumed..].to_vec());
-                    self.consume_to(self.read_buf.len());
-                    if !line.trim().is_empty() {
-                        self.dispatch(line, service, control);
-                    }
-                    progressed = true;
-                }
-                None => {
-                    self.scanned = self.read_buf.len();
-                    break;
-                }
-            }
-        }
-        // One compaction per call: drop the consumed prefix.
-        if self.consumed > 0 {
-            self.read_buf.drain(..self.consumed);
-            self.scanned = self.scanned.saturating_sub(self.consumed);
-            self.consumed = 0;
+            let Some(frame) = self.decoder.next_frame(self.eof) else {
+                break;
+            };
+            let control = Arc::clone(control);
+            let token = self.token;
+            let pending = service.dispatch(frame, self.peer, move || control.mark_dirty(token));
+            self.pending.push_back(pending);
+            self.inflight += 1;
+            progressed = true;
         }
         progressed
-    }
-
-    /// Advances the consumed cursor to `to` and resets the newline-scan
-    /// position (everything before `to` is spoken for).
-    fn consume_to(&mut self, to: usize) {
-        self.consumed = to;
-        self.scanned = to;
-    }
-
-    /// Dispatches one frame into the pool, taking a window slot; the job's
-    /// completion hook marks this connection dirty and wakes the reactor.
-    fn dispatch(&mut self, line: String, service: &Arc<Service>, control: &Arc<Control>) {
-        let control = Arc::clone(control);
-        let token = self.token;
-        let pending =
-            service.dispatch_line_notify_from(line, self.peer, move || control.mark_dirty(token));
-        self.pending.push_back(PendingReply::Deferred(pending));
-        self.inflight += 1;
-    }
-
-    /// Enqueues the structured rejection for a discarded oversized frame
-    /// (this too occupies a window slot until written, like any reply).
-    fn finish_overflow(&mut self, service: &Arc<Service>) {
-        let started = self.overflow_started.take().unwrap_or_else(Instant::now);
-        let reply = service
-            .reject_oversized_at(self.discarded, started)
-            .into_json_string();
-        self.overflowed = false;
-        self.discarded = 0;
-        self.pending.push_back(PendingReply::Ready(reply));
-        self.inflight += 1;
     }
 
     /// Moves completed replies — strictly from the queue head, which is the
@@ -685,17 +573,11 @@ impl Conn {
         let backlog_cap = 2 * service.max_chunk_bytes() as u64;
         let mut progressed = false;
         while let Some(front) = self.pending.front_mut() {
-            let frame = match front {
-                PendingReply::Ready(line) => StreamFrame::Final(std::mem::take(line)),
-                PendingReply::Deferred(pending) => {
-                    if self.out_enqueued - self.out_written > backlog_cap {
-                        break; // let the socket drain before pulling more
-                    }
-                    match pending.try_frame() {
-                        Some(frame) => frame,
-                        None => break,
-                    }
-                }
+            if self.out_enqueued - self.out_written > backlog_cap {
+                break; // let the socket drain before pulling more
+            }
+            let Some(frame) = front.try_frame() else {
+                break;
             };
             // A serialized frame *moves* into the output queue (the job's
             // `String` allocation becomes the segment — no copy); a spliced
@@ -722,10 +604,7 @@ impl Conn {
                 }
             };
             if terminal {
-                let trace = match self.pending.pop_front() {
-                    Some(PendingReply::Deferred(mut pending)) => pending.take_trace(),
-                    _ => None,
-                };
+                let trace = self.pending.pop_front().and_then(|mut p| p.take_trace());
                 self.reply_ends.push_back((self.out_enqueued, trace));
             }
             progressed = true;
@@ -785,7 +664,7 @@ impl Conn {
                 trace.finish_written();
             }
             self.inflight -= 1;
-            progressed = true; // a freed slot can unblock parsing
+            progressed = true; // a freed slot can unblock decoding
         }
         progressed
     }
@@ -813,12 +692,4 @@ impl Conn {
             }
         }
     }
-}
-
-/// First newline at or after `from`.
-fn find_newline(buf: &[u8], from: usize) -> Option<usize> {
-    buf.get(from..)?
-        .iter()
-        .position(|&b| b == b'\n')
-        .map(|pos| from + pos)
 }

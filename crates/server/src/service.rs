@@ -1,41 +1,38 @@
-//! Framing-independent request dispatch: one NDJSON line in, one line out.
+//! Framing-independent request dispatch: one NDJSON frame in, its reply
+//! frames out.
 //!
-//! [`Service`] owns the [`Engine`] and the server metrics; the TCP and stdio
-//! front-ends only move frames. Dispatch never panics on wire input and never
-//! kills the stream: every frame — however malformed — produces exactly one
-//! [`ResponseEnvelope`], with errors mapped to structured
-//! [`ErrorReply`]s whose category identifies the failing subsystem of
-//! [`lcl_paths::Error`].
+//! [`Service`] owns the [`Engine`] and the server metrics; the front-ends
+//! only move bytes. Dispatch never panics on wire input and never kills the
+//! stream: every frame — however malformed — produces exactly one terminal
+//! [`ResponseEnvelope`], with errors mapped to structured [`ErrorReply`]s
+//! whose category identifies the failing subsystem of [`lcl_paths::Error`].
 //!
-//! Two dispatch shapes are offered:
+//! Every front-end (the reactor, the thread backend and stdio) goes through
+//! one path: bytes → [`crate::frame::FrameDecoder`] → `Service::dispatch`
+//! → [`PendingResponse`] → reply. `dispatch` resolves oversized frames,
+//! splice-lane hits and admission denials on the calling thread; everything
+//! else — JSON parse, execution, serialization — is one worker-pool job
+//! ([`Engine::dispatch_notify`]). Jobs run their classification on the
+//! worker itself ([`Engine::classify`], [`Engine::solve_inline`]) — a worker
+//! parked on *another* pool job could deadlock a narrow pool.
 //!
-//! * [`Service::handle_line`] — **lock-step**: parse, execute, reply, all
-//!   before the caller reads the next frame. Classification misses still run
-//!   on the engine's persistent worker pool
-//!   ([`Engine::classify_pooled`] / [`Engine::classify_many`]), but the
-//!   calling thread parks until the reply exists. This is the stdio path.
-//! * [`Service::dispatch_line`] — **pipelined**: the whole frame (JSON
-//!   parse, execution, serialization) becomes one worker-pool job
-//!   ([`Engine::dispatch`]) and a [`PendingResponse`] handle returns
-//!   immediately, so a connection reader stays pure I/O and N requests
-//!   from one connection progress concurrently on an N-worker pool. Jobs
-//!   run their classification on the worker itself ([`Engine::classify`],
-//!   [`Engine::solve_inline`]) — a worker parked on *another* pool job
-//!   could deadlock a narrow pool.
+//! [`Service::handle_line`] is the lock-step form for embedders and tests:
+//! parse, execute and reply before returning, with classification misses
+//! handed to the pool and awaited. The pool job and `handle_line` share one
+//! private per-frame body.
 //!
 //! Most kinds produce exactly one reply frame. `solve_stream` additionally
-//! *streams*: zero or more already-serialized chunk frames precede the
-//! terminal envelope, delivered through the `emit` sink in lock-step mode
-//! ([`Service::handle_line_emitting`]) or as [`StreamFrame::Chunk`]s on the
-//! [`PendingResponse`] when pipelined. The per-request frame channel is a
-//! small bounded queue, so a streaming job can only run a couple of frames
-//! ahead of the connection writer — backpressure reaches the producing
-//! worker instead of buffering a million-node labeling in memory.
+//! *streams*: zero or more already-serialized [`StreamFrame::Chunk`]s
+//! precede the terminal envelope on the [`PendingResponse`]. The
+//! per-request frame channel is a small bounded queue, so a streaming job
+//! can only run a couple of frames ahead of the connection writer —
+//! backpressure reaches the producing worker instead of buffering a
+//! million-node labeling in memory.
 //!
-//! Neither shape ever spawns a thread on the request path.
+//! No thread is ever spawned on the request path.
 
 use crate::admission::{AdmissionConfig, QuotaLimiter, ShedPolicy};
-use crate::frame::MAX_FRAME_BYTES;
+use crate::frame::{Frame, MAX_FRAME_BYTES};
 use crate::metrics::ServerMetrics;
 use crate::splice::SplicedReply;
 use crate::trace::{Trace, TraceSink};
@@ -158,12 +155,12 @@ fn protocol_error(id: Option<i64>, message: String) -> ResponseEnvelope {
 /// placed on the engine.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 enum ExecContext {
-    /// On the dispatching thread (lock-step [`Service::handle_line`]):
+    /// On the caller's thread (lock-step [`Service::handle_line`]):
     /// classification misses are handed to the worker pool and awaited.
     Caller,
-    /// On a pool worker (a job submitted by [`Service::dispatch_line`]):
-    /// classification runs on this thread — parking a worker on another
-    /// pool job could deadlock a narrow pool.
+    /// On a pool worker (the job `Service::dispatch` submits for every
+    /// front-end): classification runs on this thread — parking a worker on
+    /// another pool job could deadlock a narrow pool.
     PoolWorker,
 }
 
@@ -175,7 +172,7 @@ enum ExecContext {
 /// frame already serialized (without its newline terminator), in strict
 /// protocol order.
 #[derive(Debug)]
-pub enum StreamFrame {
+pub(crate) enum StreamFrame {
     /// An intermediate chunk frame — zero or more per request, always
     /// before the terminal envelope.
     Chunk(String),
@@ -196,14 +193,14 @@ pub enum StreamFrame {
 /// and what keeps a million-node labeling from ever being resident at once.
 const STREAM_CHANNEL_DEPTH: usize = 2;
 
-/// The in-flight result of [`Service::dispatch_line`]: a handle on one
-/// request whose parse + execution + serialization is running as a
+/// The in-flight result of `Service::dispatch`: a handle on one request,
+/// either already answered on the dispatching thread or running as a
 /// worker-pool job. The connection writer resolves these **in request
 /// order** ([`PendingResponse::wait_frame`]), which is what turns
 /// out-of-order pool completion into the protocol's in-order reply
 /// guarantee.
 #[derive(Debug)]
-pub struct PendingResponse {
+pub(crate) struct PendingResponse {
     /// Best-effort salvaged request id, used only for the synthesized reply
     /// when the job dies without delivering one.
     id: Option<i64>,
@@ -220,6 +217,20 @@ pub struct PendingResponse {
 }
 
 impl PendingResponse {
+    /// A handle whose terminal frame is already known. The frame is pre-sent
+    /// on the channel (depth ≥ 1, so the send cannot block) and is therefore
+    /// observable before the handle returns — no notify needed.
+    fn resolved(frame: StreamFrame, trace: Option<Arc<Trace>>) -> PendingResponse {
+        let (tx, rx) = mpsc::sync_channel::<StreamFrame>(STREAM_CHANNEL_DEPTH);
+        let _ = tx.send(frame);
+        PendingResponse {
+            id: None,
+            kind: String::new(),
+            rx,
+            trace,
+        }
+    }
+
     /// Blocks until the next frame is available and returns it.
     ///
     /// A job that died (panicked) on its worker dropped the sending half;
@@ -227,7 +238,7 @@ impl PendingResponse {
     /// `internal` error as the terminal frame, so every dispatched frame
     /// still yields exactly one terminal reply. Callers stop consuming at
     /// [`StreamFrame::Final`].
-    pub fn wait_frame(&mut self) -> StreamFrame {
+    pub(crate) fn wait_frame(&mut self) -> StreamFrame {
         match self.rx.recv() {
             Ok(frame) => frame,
             Err(_) => StreamFrame::Final(self.synthesize_dropped()),
@@ -240,7 +251,7 @@ impl PendingResponse {
     /// before parking in [`PendingResponse::wait_frame`], so replies it has
     /// already buffered can be flushed to the peer instead of stalling
     /// behind a slow job.
-    pub fn try_frame(&mut self) -> Option<StreamFrame> {
+    pub(crate) fn try_frame(&mut self) -> Option<StreamFrame> {
         match self.rx.try_recv() {
             Ok(frame) => Some(frame),
             Err(mpsc::TryRecvError::Disconnected) => {
@@ -251,11 +262,10 @@ impl PendingResponse {
     }
 
     /// Blocks until the **terminal** reply frame and returns it, discarding
-    /// any intermediate chunk frames. Convenience for embedders and tests
-    /// that only care about the final envelope; connection writers must use
-    /// [`PendingResponse::wait_frame`] / [`PendingResponse::try_frame`] so
-    /// chunks reach the peer.
-    pub fn wait(mut self) -> String {
+    /// any intermediate chunk frames (tests only care about the final
+    /// envelope; connection writers use [`crate::frame::write_reply`]).
+    #[cfg(test)]
+    pub(crate) fn wait(mut self) -> String {
         loop {
             match self.wait_frame() {
                 StreamFrame::Final(line) => return line,
@@ -513,217 +523,140 @@ impl Service {
             .then(|| Arc::new(Trace::new(Arc::clone(&self.trace), started, id)))
     }
 
-    /// The admission decision for one frame: `Some(reply)` when the frame
-    /// must be rejected (per-peer quota exhausted, or the server is
-    /// shedding load), `None` when it may dispatch. Only compute kinds are
-    /// ever denied; the quota is consulted first so one greedy client is
-    /// rejected individually before the global shed signals even matter.
-    /// `peer` is the client address the quota buckets key on — `None`
-    /// (stdio, embedders) shares one sentinel bucket.
-    fn admission_denial(&self, kind: RequestKind, peer: Option<IpAddr>) -> Option<ErrorReply> {
-        if !kind.is_compute() || (self.shed.is_none() && self.quota.is_none()) {
+    /// The admission check, run on the dispatching thread before a frame
+    /// takes a pool job: `Some(reply)` rejects it (per-peer quota
+    /// exhausted, or the server is shedding load). Keyed on the salvaged
+    /// kind, so a shed reply stays fast — and the server observable —
+    /// however deep the pool backlog is. Only compute kinds are ever
+    /// denied; a frame whose kind cannot be salvaged is admitted, since its
+    /// reply is a parse error, not engine work worth shedding. The quota is
+    /// consulted first so one greedy client is rejected individually before
+    /// the global shed signals even matter. `peer` is the client address the
+    /// quota buckets key on — `None` (stdio, embedders) shares one sentinel
+    /// bucket.
+    ///
+    /// A rejection is accounted symmetrically with served frames: the
+    /// regular per-kind count/error/latency record **plus** the shed tally,
+    /// so `shed_total` and the latency histograms always agree.
+    fn admit(
+        &self,
+        line: &str,
+        peer: Option<IpAddr>,
+        started: Instant,
+    ) -> Option<ResponseEnvelope> {
+        if self.shed.is_none() && self.quota.is_none() {
             return None;
         }
-        if let Some(quota) = &self.quota {
+        let kind = salvage_kind(line);
+        let salvaged = RequestKind::from_wire_name(&kind).filter(|k| k.is_compute())?;
+        let quota = self.quota.as_ref().and_then(|quota| {
             let peer = peer.unwrap_or_else(QuotaLimiter::sentinel_peer);
-            if let Err(denial) = quota.admit(peer, Instant::now()) {
-                return Some(ErrorReply::overloaded(
-                    denial.message,
-                    denial.retry_after_millis,
-                ));
-            }
-        }
-        if let Some(shed) = &self.shed {
+            quota.admit(peer, Instant::now()).err()
+        });
+        let denial = quota.or_else(|| {
+            let shed = self.shed.as_ref()?;
             let pool = self.engine.pool_stats();
             // The per-kind p99 comes from the detailed-metrics histogram;
             // with histograms off it reads 0 and the signal is inert.
-            let p99 = self.metrics.histogram(Some(kind)).quantile(0.99);
-            if let Some(denial) = shed.evaluate(pool.queue_depth, pool.workers, p99) {
-                return Some(ErrorReply::overloaded(
-                    denial.message,
-                    denial.retry_after_millis,
-                ));
-            }
-        }
-        None
-    }
-
-    /// Accounts one admission rejection symmetrically with served frames:
-    /// the regular per-kind count/error/latency record **plus** the shed
-    /// tally, so `shed_total` and the latency histograms always agree.
-    fn record_shed(&self, kind: RequestKind, started: Instant) {
-        self.metrics.record_shed(Some(kind));
-        self.metrics.record(Some(kind), started.elapsed(), false);
+            let p99 = self.metrics.histogram(Some(salvaged)).quantile(0.99);
+            shed.evaluate(pool.queue_depth, pool.workers, p99)
+        })?;
+        self.metrics.record_shed(Some(salvaged));
+        self.metrics
+            .record(Some(salvaged), started.elapsed(), false);
+        let reply = ErrorReply::overloaded(denial.message, denial.retry_after_millis);
+        Some(ResponseEnvelope::error(salvage_id(line), kind, reply))
     }
 
     /// Handles one request frame in lock-step, returning exactly one
-    /// response envelope. Never panics on wire input.
+    /// response envelope. Never panics on wire input. Classification misses
+    /// run on the engine's worker pool while this thread waits; the reply
+    /// is never spliced from cached bytes, so this is also the canonical
+    /// serialization the splice lane is pinned against.
     ///
     /// Intermediate `solve_stream` chunk frames have nowhere to go in this
     /// shape and are discarded; the terminal summary is still computed and
-    /// returned. Front-ends that can forward chunks use
-    /// [`Service::handle_line_emitting`].
+    /// returned.
     pub fn handle_line(&self, line: &str) -> ResponseEnvelope {
-        self.handle_line_emitting(line, &mut |_| true)
-    }
-
-    /// [`Service::handle_line`] with a chunk sink: `emit` receives each
-    /// serialized intermediate frame (in order, all before the terminal
-    /// envelope is returned) and reports whether the peer is still there —
-    /// returning `false` aborts the stream with a structured error. This is
-    /// how the stdio front-end serves `solve_stream`.
-    pub fn handle_line_emitting(
-        &self,
-        line: &str,
-        emit: &mut dyn FnMut(String) -> bool,
-    ) -> ResponseEnvelope {
+        let started = Instant::now();
+        if let Some(denied) = self.admit(line, None, started) {
+            return denied;
+        }
         // The trace drops here untaken: lock-step embedders that cannot
         // observe the write use the compute-side stages only.
-        self.handle_line_traced(line, emit).0
-    }
-
-    /// [`Service::handle_line_emitting`] that also hands back the request's
-    /// stage trace, so a lock-step front-end (stdio) can stamp the
-    /// serialize and write stages it alone observes. The trace finalizes
-    /// into the sink when dropped, stamped or not.
-    pub(crate) fn handle_line_traced(
-        &self,
-        line: &str,
-        emit: &mut dyn FnMut(String) -> bool,
-    ) -> (ResponseEnvelope, Option<Arc<Trace>>) {
-        let started = Instant::now();
         let trace = self.new_trace(started, None);
-        let response = match self.parse(line) {
-            Err(response) => {
-                if let Some(trace) = &trace {
-                    trace.mark_parsed(None, None);
-                }
-                self.metrics.record(None, started.elapsed(), false);
-                response
-            }
-            Ok((kind, envelope)) => {
-                if let Some(trace) = &trace {
-                    trace.mark_parsed(Some(kind), Some(envelope.id));
-                }
-                // Admission runs after the parse here (lock-step framing
-                // has no salvage shortcut) but still before any engine
-                // work; stdio peers share the sentinel quota bucket.
-                if let Some(reply) = self.admission_denial(kind, None) {
-                    self.record_shed(kind, started);
-                    ResponseEnvelope::error(Some(envelope.id), kind.wire_name(), reply)
-                } else {
-                    self.finish(
-                        kind,
-                        &envelope,
-                        started,
-                        ExecContext::Caller,
-                        emit,
-                        trace.as_deref(),
-                    )
-                }
-            }
-        };
-        if let Some(trace) = &trace {
-            trace.mark_computed(response.is_ok());
-        }
-        (response, trace)
+        self.serve(
+            line,
+            started,
+            ExecContext::Caller,
+            &mut |_| true,
+            trace.as_deref(),
+        )
     }
 
-    /// Handles one request frame for a *pipelined* connection: the whole
-    /// frame — JSON parse, execution, serialization — becomes one
-    /// worker-pool job, and the handle comes back without blocking, so a
-    /// connection reader stays pure I/O and keeps pulling frames while
-    /// every stage of earlier requests runs on the pool. With N workers, N
-    /// requests from one connection parse and classify concurrently.
+    /// [`Service::handle_line`], serialized to one NDJSON frame (without the
+    /// trailing newline).
+    pub fn handle_line_string(&self, line: &str) -> String {
+        self.handle_line(line).into_json_string()
+    }
+
+    /// The streaming entry point every front-end uses: one decoded frame in,
+    /// a [`PendingResponse`] handle out, without blocking. The caller must
+    /// resolve the handles in dispatch order to uphold the protocol's
+    /// per-connection reply-ordering guarantee.
     ///
-    /// The caller must resolve the returned handles in dispatch order
-    /// ([`PendingResponse::wait`]) to uphold the protocol's per-connection
-    /// reply-ordering guarantee.
-    pub fn dispatch_line(self: &Arc<Self>, line: String) -> PendingResponse {
-        self.dispatch_line_notify(line, || {})
-    }
-
-    /// [`Service::dispatch_line`] with the client's peer address, which
-    /// keys the per-client quota buckets. This is the thread backend's
-    /// dispatch entry point.
-    pub fn dispatch_line_from(
-        self: &Arc<Self>,
-        line: String,
-        peer: Option<IpAddr>,
-    ) -> PendingResponse {
-        self.dispatch_line_notify_from(line, peer, || {})
-    }
-
-    /// [`Service::dispatch_line`] with a frame hook: `notify` runs on the
-    /// worker every time a new frame is observable on the returned handle —
-    /// a chunk was emitted, the frame was answered, or the job died and
-    /// [`PendingResponse::try_frame`] will synthesize its error. This is the
-    /// reactor backend's wakeup path: instead of a writer thread parked per
-    /// connection, `notify` signals the reactor's eventfd
-    /// ([`Engine::dispatch_notify`]).
+    /// Oversized frames, splice-lane hits and admission denials resolve
+    /// right here on the calling thread; their reply is already on the
+    /// handle when it returns. Everything else — JSON parse, execution,
+    /// serialization — becomes one worker-pool job, so a connection reader
+    /// stays pure I/O and N requests from one connection progress
+    /// concurrently on an N-worker pool.
     ///
-    /// Frames travel over a bounded channel (depth 2): a
-    /// streaming job whose consumer stops draining parks its pool worker
-    /// until the writer catches up or the connection is dropped (the drop
-    /// closes the channel, which aborts the stream). The per-connection
-    /// in-flight window bounds how many workers one slow peer can park.
-    pub fn dispatch_line_notify<N>(self: &Arc<Self>, line: String, notify: N) -> PendingResponse
-    where
-        N: Fn() + Send + Sync + 'static,
-    {
-        self.dispatch_line_notify_from(line, None, notify)
-    }
-
-    /// [`Service::dispatch_line_notify`] with the client's peer address for
-    /// the per-client quota buckets (the reactor backend's entry point).
-    pub fn dispatch_line_notify_from<N>(
+    /// `peer` keys the per-client quota buckets (`None` shares one sentinel
+    /// bucket). `notify` runs on the worker every time a new frame is
+    /// observable on the handle — a chunk was emitted, the frame was
+    /// answered, or the job died and [`PendingResponse::try_frame`] will
+    /// synthesize its error; the reactor uses it to signal its eventfd
+    /// ([`Engine::dispatch_notify`]). Frames travel over a bounded channel
+    /// (depth 2): a streaming job whose consumer stops draining parks its
+    /// worker until the writer catches up or drops the handle, which aborts
+    /// the stream.
+    pub(crate) fn dispatch<N>(
         self: &Arc<Self>,
-        line: String,
+        frame: Frame,
         peer: Option<IpAddr>,
         notify: N,
     ) -> PendingResponse
     where
         N: Fn() + Send + Sync + 'static,
     {
+        let line = match frame {
+            Frame::Line(line) => line,
+            Frame::Oversized { discarded, started } => {
+                // Clocked from when the frame began arriving, so draining a
+                // multi-MB frame lands in the `invalid` histogram.
+                let response = protocol_error(
+                    None,
+                    format!("frame exceeds {MAX_FRAME_BYTES} bytes ({discarded} bytes discarded)"),
+                );
+                self.metrics.record(None, started.elapsed(), false);
+                return PendingResponse::resolved(
+                    StreamFrame::Final(response.into_json_string()),
+                    None,
+                );
+            }
+        };
         let started = Instant::now();
         // The zero-serialization fast lane: a classify whose verdict is
-        // already cached resolves right here on the calling thread — no
-        // pool job, no pipeline-window slot. The frame is pre-sent on the
-        // channel (depth ≥ 1, so the send cannot block) and therefore
-        // observable before the handle returns — no notify needed.
-        if let Some((id, frame, trace)) = self.splice_line(&line, started) {
-            let (tx, rx) = mpsc::sync_channel::<StreamFrame>(STREAM_CHANNEL_DEPTH);
-            let _ = tx.send(frame);
-            return PendingResponse {
-                id: Some(id),
-                kind: RequestKind::Classify.wire_name().to_string(),
-                rx,
-                trace,
-            };
+        // already cached needs no pool job.
+        if let Some(pending) = self.splice_line(&line, started) {
+            return pending;
+        }
+        if let Some(denied) = self.admit(&line, peer, started) {
+            return PendingResponse::resolved(StreamFrame::Final(denied.into_json_string()), None);
         }
         let id = salvage_id(&line);
         let kind = salvage_kind(&line);
-        // Admission runs on the salvaged kind, before the frame takes a
-        // pool job or a pipeline-window slot: a shed reply is resolved
-        // right here on the calling thread and only occupies the
-        // connection's ordered-reply slot, so it stays fast — and the
-        // server stays observable — however deep the pool backlog is.
-        // (A frame whose kind cannot be salvaged dispatches normally; its
-        // reply is a parse error, not engine work worth shedding.)
-        if let Some(salvaged) = RequestKind::from_wire_name(&kind) {
-            if let Some(reply) = self.admission_denial(salvaged, peer) {
-                let frame = ResponseEnvelope::error(id, kind.clone(), reply).into_json_string();
-                self.record_shed(salvaged, started);
-                let (tx, rx) = mpsc::sync_channel::<StreamFrame>(STREAM_CHANNEL_DEPTH);
-                let _ = tx.send(StreamFrame::Final(frame));
-                return PendingResponse {
-                    id,
-                    kind,
-                    rx,
-                    trace: None,
-                };
-            }
-        }
         let service = Arc::clone(self);
         // The trace is shared three ways: the job stamps queue → serialize,
         // the connection writer (via the PendingResponse) stamps the write,
@@ -744,36 +677,18 @@ impl Service {
                 if let Some(trace) = &job_trace {
                     trace.mark_queue();
                 }
-                let response = match service.parse(&line) {
-                    Err(response) => {
-                        if let Some(trace) = &job_trace {
-                            trace.mark_parsed(None, None);
-                        }
-                        service.metrics.record(None, started.elapsed(), false);
-                        response
-                    }
-                    Ok((kind, envelope)) => {
-                        if let Some(trace) = &job_trace {
-                            trace.mark_parsed(Some(kind), Some(envelope.id));
-                        }
-                        let mut emit = |frame: String| {
-                            let delivered = tx.send(StreamFrame::Chunk(frame)).is_ok();
-                            notify();
-                            delivered
-                        };
-                        service.finish(
-                            kind,
-                            &envelope,
-                            started,
-                            ExecContext::PoolWorker,
-                            &mut emit,
-                            job_trace.as_deref(),
-                        )
-                    }
+                let mut emit = |frame: String| {
+                    let delivered = tx.send(StreamFrame::Chunk(frame)).is_ok();
+                    notify();
+                    delivered
                 };
-                if let Some(trace) = &job_trace {
-                    trace.mark_computed(response.is_ok());
-                }
+                let response = service.serve(
+                    &line,
+                    started,
+                    ExecContext::PoolWorker,
+                    &mut emit,
+                    job_trace.as_deref(),
+                );
                 let line = response.into_json_string();
                 if let Some(trace) = &job_trace {
                     trace.mark_serialized();
@@ -793,67 +708,43 @@ impl Service {
         }
     }
 
-    /// Executes a parsed request and wraps the outcome in its response
-    /// envelope, recording latency metrics (from `started`, so deferred
-    /// requests account their pool-queue wait too).
-    fn finish(
+    /// The per-frame body shared by the pool job and the lock-step path:
+    /// parse, execute, record the latency metrics and stamp the trace's
+    /// compute-side stages. Latency counts from `started`, so pooled
+    /// requests account their queue wait too.
+    fn serve(
         &self,
-        kind: RequestKind,
-        envelope: &RequestEnvelope,
+        line: &str,
         started: Instant,
         ctx: ExecContext,
         emit: &mut dyn FnMut(String) -> bool,
         trace: Option<&Trace>,
     ) -> ResponseEnvelope {
-        let result = self.run(kind, envelope, started, ctx, emit, trace);
-        self.respond(kind, envelope.id, started, result)
-    }
-
-    /// Wraps a request outcome in its response envelope and records the
-    /// latency metrics.
-    fn respond(
-        &self,
-        kind: RequestKind,
-        id: i64,
-        started: Instant,
-        result: Result<JsonValue, Error>,
-    ) -> ResponseEnvelope {
-        let response = match result {
-            Ok(payload) => ResponseEnvelope::ok(id, kind.wire_name(), payload),
-            Err(e) => ResponseEnvelope::error(Some(id), kind.wire_name(), error_reply(&e)),
+        let response = match self.parse(line) {
+            Err(response) => {
+                if let Some(trace) = trace {
+                    trace.mark_parsed(None, None);
+                }
+                self.metrics.record(None, started.elapsed(), false);
+                response
+            }
+            Ok((kind, envelope)) => {
+                if let Some(trace) = trace {
+                    trace.mark_parsed(Some(kind), Some(envelope.id));
+                }
+                let id = envelope.id;
+                let response = match self.run(kind, &envelope, started, ctx, emit, trace) {
+                    Ok(payload) => ResponseEnvelope::ok(id, kind.wire_name(), payload),
+                    Err(e) => ResponseEnvelope::error(Some(id), kind.wire_name(), error_reply(&e)),
+                };
+                self.metrics
+                    .record(Some(kind), started.elapsed(), response.is_ok());
+                response
+            }
         };
-        self.metrics
-            .record(Some(kind), started.elapsed(), response.is_ok());
-        response
-    }
-
-    /// [`Service::handle_line`], serialized to one NDJSON frame (without the
-    /// trailing newline).
-    pub fn handle_line_string(&self, line: &str) -> String {
-        self.handle_line(line).into_json_string()
-    }
-
-    /// Builds (and accounts) the structured reply for a frame that exceeded
-    /// [`MAX_FRAME_BYTES`]; the framing layer has already discarded the line.
-    ///
-    /// Front-ends that know when the oversized frame *started* arriving
-    /// should use [`Service::reject_oversized_at`] so the accounted latency
-    /// covers the discard work; this form accounts the (clamped-to-1µs)
-    /// reply construction only.
-    pub fn reject_oversized(&self, discarded: usize) -> ResponseEnvelope {
-        self.reject_oversized_at(discarded, Instant::now())
-    }
-
-    /// [`Service::reject_oversized`] clocked from `started` — the instant
-    /// the frame began arriving — so draining and discarding a multi-MB
-    /// frame lands in the `invalid` histogram as the real elapsed time
-    /// instead of a near-zero reply-construction blip.
-    pub fn reject_oversized_at(&self, discarded: usize, started: Instant) -> ResponseEnvelope {
-        let response = protocol_error(
-            None,
-            format!("frame exceeds {MAX_FRAME_BYTES} bytes ({discarded} bytes discarded)"),
-        );
-        self.metrics.record(None, started.elapsed(), false);
+        if let Some(trace) = trace {
+            trace.mark_computed(response.is_ok());
+        }
         response
     }
 
@@ -937,14 +828,9 @@ impl Service {
     /// are never spliced).
     ///
     /// On `Some`, the request is fully accounted (latency metrics, stage
-    /// trace): the returned id, terminal frame and trace are ready for the
-    /// connection's ordered-reply machinery, with the write stage left for
-    /// the caller to stamp.
-    pub(crate) fn splice_line(
-        &self,
-        line: &str,
-        started: Instant,
-    ) -> Option<(i64, StreamFrame, Option<Arc<Trace>>)> {
+    /// trace) and its terminal frame is already on the returned handle,
+    /// with the write stage left for the connection writer to stamp.
+    fn splice_line(&self, line: &str, started: Instant) -> Option<PendingResponse> {
         // Cheap scan before the parse: the lane only serves `classify`
         // (the closing quote keeps `classify_many` out).
         if !self.reply_splice() || !line.contains("\"kind\":\"classify\"") {
@@ -974,8 +860,7 @@ impl Service {
                     self.metrics.record_spliced_frame();
                     self.metrics
                         .record(Some(RequestKind::Classify), started.elapsed(), true);
-                    return Some((
-                        id,
+                    return Some(PendingResponse::resolved(
                         StreamFrame::Spliced(SplicedReply::new(id, payload)),
                         trace,
                     ));
@@ -1042,7 +927,7 @@ impl Service {
             trace.mark_serialized();
         }
         self.metrics.record(Some(kind), started.elapsed(), true);
-        Some((envelope.id, frame, trace))
+        Some(PendingResponse::resolved(frame, trace))
     }
 
     fn classify(
@@ -1453,33 +1338,40 @@ mod tests {
         Service::new(Engine::builder().parallelism(2).build())
     }
 
+    /// Dispatches one decoded line the way every front-end does.
+    fn dispatch(
+        service: &Arc<Service>,
+        line: impl Into<String>,
+        peer: Option<IpAddr>,
+    ) -> PendingResponse {
+        service.dispatch(Frame::Line(line.into()), peer, || {})
+    }
+
     fn classify_line(id: i64) -> String {
         let payload = JsonValue::object([("problem", problems::coloring(3).to_spec().to_json())]);
         RequestEnvelope::new(id, "classify", payload).to_json_string()
     }
 
     #[test]
-    fn dispatch_line_resolves_every_frame_to_one_reply() {
+    fn dispatch_resolves_every_frame_to_one_reply() {
         let service = Arc::new(service());
 
         // Well-formed cheap kind.
-        let health = service
-            .dispatch_line(r#"{"v":1,"id":1,"kind":"health"}"#.to_string())
-            .wait();
+        let health = dispatch(&service, r#"{"v":1,"id":1,"kind":"health"}"#, None).wait();
         let health = ResponseEnvelope::from_json_str(&health).expect("reply parses");
         assert_eq!(health.id, Some(1));
         assert!(health.is_ok());
 
         // Unparseable frames still get their structured reply through the
         // same deferred path.
-        let garbage = service.dispatch_line("not json at all".to_string()).wait();
+        let garbage = dispatch(&service, "not json at all", None).wait();
         let garbage = ResponseEnvelope::from_json_str(&garbage).expect("reply parses");
         assert_eq!(garbage.id, None);
         assert_eq!(garbage.result.unwrap_err().category, "protocol");
 
         // A classify runs parse + classification + serialization on the
         // pool and is byte-identical to the lock-step reply.
-        let deferred = service.dispatch_line(classify_line(5)).wait();
+        let deferred = dispatch(&service, classify_line(5), None).wait();
         let parsed = ResponseEnvelope::from_json_str(&deferred).expect("reply parses");
         assert_eq!(parsed.id, Some(5), "request id echoed");
         assert!(parsed.is_ok());
@@ -1495,18 +1387,41 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_line_splices_hot_classify_hits_byte_identically() {
+    fn oversized_frames_are_answered_on_the_calling_thread() {
+        let service = Arc::new(service());
+        let started = Instant::now();
+        let frame = Frame::Oversized {
+            discarded: 1234,
+            started,
+        };
+        let reply = service.dispatch(frame, None, || {}).wait();
+        let reply = ResponseEnvelope::from_json_str(&reply).expect("reply parses");
+        assert_eq!(reply.id, None);
+        let error = reply.result.unwrap_err();
+        assert_eq!(error.category, "protocol");
+        assert!(
+            error.message.contains("1234 bytes discarded"),
+            "{}",
+            error.message
+        );
+        // Accounted as an invalid frame, without touching the pool.
+        assert_eq!(service.metrics().snapshot(None).errors, 1);
+        assert_eq!(service.metrics().pipelined_peak(), 0);
+    }
+
+    #[test]
+    fn dispatch_splices_hot_classify_hits_byte_identically() {
         let service = Arc::new(service());
 
         // Cold: the miss runs on the pool; nothing to splice yet.
-        let cold = service.dispatch_line(classify_line(1)).wait();
+        let cold = dispatch(&service, classify_line(1), None).wait();
         assert!(ResponseEnvelope::from_json_str(&cold).unwrap().is_ok());
         assert_eq!(service.metrics().spliced_frames(), 0);
 
         // First hot hit: resolved on the calling thread; this request pays
         // the one render that attaches the reply bytes (a bytes miss), and
         // its frame is already spliced.
-        let mut pending = service.dispatch_line(classify_line(2));
+        let mut pending = dispatch(&service, classify_line(2), None);
         let spliced = match pending.wait_frame() {
             StreamFrame::Spliced(spliced) => spliced,
             other => panic!("expected a spliced frame, got {other:?}"),
@@ -1521,7 +1436,7 @@ mod tests {
 
         // Second hot hit reuses the attached bytes: a bytes hit, shared
         // payload, still byte-identical modulo the spliced id.
-        let again = service.dispatch_line(classify_line(-3)).wait();
+        let again = dispatch(&service, classify_line(-3), None).wait();
         assert_eq!(again, service.handle_line_string(&classify_line(-3)));
         assert_eq!(service.metrics().spliced_frames(), 2);
         assert_eq!(service.engine().cache_stats().bytes_hits, 1);
@@ -1532,7 +1447,7 @@ mod tests {
         // Toggled off, the same hot frame goes through the pool and still
         // serializes identically — the lane is invisible on the wire.
         service.set_reply_splice(false);
-        let slow = service.dispatch_line(classify_line(4)).wait();
+        let slow = dispatch(&service, classify_line(4), None).wait();
         assert_eq!(slow, service.handle_line_string(&classify_line(4)));
         assert_eq!(service.metrics().spliced_frames(), 2, "lane was off");
     }
@@ -1735,10 +1650,17 @@ mod tests {
     fn solve_stream_chunks_concatenate_to_the_full_labeling() {
         let service = service().with_max_chunk_bytes(1024); // 112 labels/chunk
         let mut chunks = Vec::new();
-        let response = service.handle_line_emitting(&stream_line(21, 300), &mut |frame| {
+        let mut emit = |frame| {
             chunks.push(frame);
             true
-        });
+        };
+        let response = service.serve(
+            &stream_line(21, 300),
+            Instant::now(),
+            ExecContext::Caller,
+            &mut emit,
+            None,
+        );
         assert_eq!(response.id, Some(21));
         let summary = response.result.expect("stream succeeds");
         assert!(summary.require("done").unwrap().as_bool().unwrap());
@@ -1780,7 +1702,7 @@ mod tests {
     #[test]
     fn solve_stream_pipelined_delivers_ordered_frames() {
         let service = Arc::new(service().with_max_chunk_bytes(1024));
-        let mut pending = service.dispatch_line(stream_line(22, 250));
+        let mut pending = dispatch(&service, stream_line(22, 250), None);
         let mut frames = Vec::new();
         let terminal = loop {
             match pending.wait_frame() {
@@ -1810,10 +1732,17 @@ mod tests {
     fn solve_stream_aborts_when_the_emit_sink_reports_the_peer_gone() {
         let service = service().with_max_chunk_bytes(1024);
         let mut emitted = 0;
-        let response = service.handle_line_emitting(&stream_line(23, 300), &mut |_| {
+        let mut emit = |_| {
             emitted += 1;
             false
-        });
+        };
+        let response = service.serve(
+            &stream_line(23, 300),
+            Instant::now(),
+            ExecContext::Caller,
+            &mut emit,
+            None,
+        );
         assert_eq!(emitted, 1, "stream must stop at the first refusal");
         let error = response.result.unwrap_err();
         assert_eq!(error.category, "classifier");
@@ -1934,12 +1863,12 @@ mod tests {
         let peer = Some("10.0.0.7".parse().unwrap());
 
         // The burst admits the first frame…
-        let first = service.dispatch_line_from(classify_line(1), peer).wait();
+        let first = dispatch(&service, classify_line(1), peer).wait();
         assert!(ResponseEnvelope::from_json_str(&first).unwrap().is_ok());
 
         // …and the second is rejected before taking a pool slot, with the
         // structured retry hint on the wire.
-        let second = service.dispatch_line_from(classify_line(2), peer).wait();
+        let second = dispatch(&service, classify_line(2), peer).wait();
         let reply = ResponseEnvelope::from_json_str(&second).unwrap();
         assert_eq!(reply.id, Some(2), "denials still echo the request id");
         assert_eq!(reply.kind, "classify");
@@ -1950,7 +1879,7 @@ mod tests {
 
         // A different peer still has its own untouched bucket.
         let other = Some("10.0.0.8".parse().unwrap());
-        let third = service.dispatch_line_from(classify_line(3), other).wait();
+        let third = dispatch(&service, classify_line(3), other).wait();
         assert!(ResponseEnvelope::from_json_str(&third).unwrap().is_ok());
 
         // Latency accounting stays symmetric: the shed frame is counted,
@@ -1984,7 +1913,7 @@ mod tests {
             );
         }
 
-        let reply = service.dispatch_line_from(classify_line(9), None).wait();
+        let reply = dispatch(&service, classify_line(9), None).wait();
         let reply = ResponseEnvelope::from_json_str(&reply).unwrap();
         let error = reply.result.unwrap_err();
         assert_eq!(error.category, "overloaded");
@@ -1999,14 +1928,14 @@ mod tests {
         // an overloaded server.
         for kind in ["stats", "health", "metrics"] {
             let line = format!("{{\"v\":1,\"id\":1,\"kind\":\"{kind}\"}}");
-            let reply = service.dispatch_line_from(line, None).wait();
+            let reply = dispatch(&service, line, None).wait();
             assert!(
                 ResponseEnvelope::from_json_str(&reply).unwrap().is_ok(),
                 "{kind} must bypass admission"
             );
         }
 
-        // The lock-step (stdio) path sheds identically.
+        // The lock-step path sheds identically.
         let locked = service.handle_line(&classify_line(10));
         assert_eq!(locked.result.unwrap_err().category, "overloaded");
     }
@@ -2020,11 +1949,11 @@ mod tests {
         }));
         service.set_reply_splice(false);
         let peer = Some("192.168.1.20".parse().unwrap());
-        let first = service.dispatch_line_from(classify_line(1), peer).wait();
+        let first = dispatch(&service, classify_line(1), peer).wait();
         assert!(ResponseEnvelope::from_json_str(&first).unwrap().is_ok());
         for kind in ["stats", "health", "metrics"] {
             let line = format!("{{\"v\":1,\"id\":2,\"kind\":\"{kind}\"}}");
-            let reply = service.dispatch_line_from(line, peer).wait();
+            let reply = dispatch(&service, line, peer).wait();
             assert!(
                 ResponseEnvelope::from_json_str(&reply).unwrap().is_ok(),
                 "{kind} must not consume quota"

@@ -39,7 +39,7 @@ pub(crate) const FRAME_TAIL: &[u8] = b"}\n";
 
 /// A `classify` reply assembled from cached payload bytes plus the request
 /// id — the terminal frame of the zero-serialization fast lane, carried by
-/// [`StreamFrame::Spliced`](crate::StreamFrame::Spliced).
+/// [`StreamFrame::Spliced`](crate::service::StreamFrame::Spliced).
 ///
 /// The payload bytes are shared (`Arc<[u8]>`) with the engine's reply-bytes
 /// cache; materializing the frame is an id-format plus a memcpy (or, on the
@@ -47,7 +47,7 @@ pub(crate) const FRAME_TAIL: &[u8] = b"}\n";
 /// entry by `writev`). [`SplicedReply::to_frame_string`] produces the exact
 /// line the canonical serializer would have produced.
 #[derive(Clone, Debug)]
-pub struct SplicedReply {
+pub(crate) struct SplicedReply {
     id: i64,
     payload: Arc<[u8]>,
 }
@@ -94,10 +94,10 @@ impl SplicedReply {
     /// Materializes the reply as the serialized envelope line (without the
     /// newline terminator), byte-identical to what
     /// [`ResponseEnvelope::ok`](lcl_paths::problem::ResponseEnvelope::ok)
-    /// would have printed. For embedders consuming
-    /// [`PendingResponse::wait`](crate::PendingResponse::wait) and tests;
-    /// the connection backends write the pieces directly instead.
-    pub fn to_frame_string(&self) -> String {
+    /// would have printed. Tests compare against it; the connection
+    /// backends write the pieces directly instead.
+    #[cfg(test)]
+    pub(crate) fn to_frame_string(&self) -> String {
         let mut out = self.head_bytes();
         out.extend_from_slice(&self.payload);
         out.push(b'}');

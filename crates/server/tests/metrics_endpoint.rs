@@ -483,7 +483,8 @@ fn stage_traces_reach_the_ring_and_the_slow_log_on_stdio() {
         captured_in_sink.lock().unwrap().push(line.to_string());
     }));
     sink.set_slow_micros(Some(1)); // everything is slow
-    let service = Service::new(Engine::builder().parallelism(1).build()).with_trace_sink(sink);
+    let service =
+        Arc::new(Service::new(Engine::builder().parallelism(1).build()).with_trace_sink(sink));
 
     let spec = problems::coloring(3).to_spec();
     let classify = RequestEnvelope::new(
@@ -501,9 +502,9 @@ fn stage_traces_reach_the_ring_and_the_slow_log_on_stdio() {
     // recent() is oldest-first: the classify, then the unparseable frame.
     assert_eq!(records[0].id, Some(7));
     assert!(records[0].ok);
-    // The lock-step (caller-context) path cannot observe where its
-    // classification came from; only the pooled path attributes hits.
-    assert_eq!(records[0].cache_hit, None);
+    // stdio frames run on the worker pool like every front-end's, and the
+    // pooled path observes where its classification came from: a cold miss.
+    assert_eq!(records[0].cache_hit, Some(false));
     assert!(records[0].problem_hash.is_some());
     assert_eq!(records[1].kind, TraceRecord::KIND_INVALID);
     assert!(!records[1].ok);
