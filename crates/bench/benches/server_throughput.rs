@@ -18,14 +18,12 @@
 //!    requests in flight). Lock-step pays a full round-trip of latency per
 //!    request; pipelining overlaps wire, dispatch, pool and write stages,
 //!    so one client pipe can finally keep the pool busy;
-//! 5. **many connections** — the reactor addition: 512 simultaneously open
-//!    pipelined connections sweeping the corpus, served by the epoll
-//!    reactor backend vs the thread-per-connection backend. Printed for
-//!    each: requests/sec and the **process thread count** while all 512
-//!    connections were open — the reactor holds it at
-//!    `constant + pool workers` where the thread backend pays
-//!    `2 × connections`. The reply frames of the two backends are asserted
-//!    byte-identical;
+//! 5. **many connections** — 512 simultaneously open pipelined connections
+//!    sweeping the corpus on the epoll reactor. Printed: requests/sec and
+//!    the **process thread count** while all 512 connections were open.
+//!    Asserted: that count is at most the count before the server existed
+//!    plus one reactor thread plus the pool workers — a thread budget
+//!    independent of the connection count;
 //! 6. **observability overhead** — warm pipelined sweeps with detailed
 //!    metrics (latency histograms + stage traces) enabled vs the no-op
 //!    recorder (`set_detailed(false)`), interleaved on one server and one
@@ -42,11 +40,11 @@
 //! 8. **admission + persistence** — the production-posture gates. Three
 //!    measurements: (a) with thresholds far above the workload, warm
 //!    pipelined sweeps must shed exactly zero frames (admission is
-//!    invisible below its limits); (b) with one worker pinned by slow
-//!    solves and queue-depth shedding armed, a probe connection's
-//!    rejections must come back under 1ms at p99 — a shed takes no pool
-//!    slot, so its cost is parse + admission check + a pre-rendered error
-//!    frame; (c) a verdict cache snapshotted to disk and restored into a
+//!    invisible below its limits); (b) with one worker pinned by jobs that
+//!    wait out the measurement and queue-depth shedding armed, a probe
+//!    connection's rejections must come back under 1ms at p99 — a shed
+//!    takes no pool slot, so its cost is parse + admission check + a
+//!    pre-rendered error frame; (c) a verdict cache snapshotted to disk and restored into a
 //!    fresh engine must answer the first corpus sweep at a > 0.9 hit
 //!    ratio.
 //!
@@ -54,17 +52,16 @@
 //! the scoped-thread baseline), experiment 4 (pipelined must beat
 //! lock-step clearly — the PR targets ≥ 2x on warm sweeps), experiment 5
 //! (the reactor must complete the 512-connection run on its fixed thread
-//! budget with byte-identical replies), experiment 6 (< 5% observability
-//! overhead), experiment 7 (≥ 2x on the memoized classify hit path,
-//! byte-identical replies) and experiment 8 (zero sheds below thresholds,
-//! shed-path reply p99 < 1ms, restored-snapshot first-pass hit ratio
-//! > 0.9).
+//! budget), experiment 6 (< 5% observability overhead), experiment 7 (≥ 2x
+//! on the memoized classify hit path, byte-identical replies) and
+//! experiment 8 (zero sheds below thresholds, shed-path reply p99 < 1ms,
+//! restored-snapshot first-pass hit ratio > 0.9).
 
 use lcl_bench::banner;
 use lcl_classifier::{Classification, Engine};
 use lcl_problem::NormalizedLcl;
 use lcl_problems::corpus;
-use lcl_server::{Backend, Client, Server, Service};
+use lcl_server::{Client, Server, Service};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread;
@@ -231,35 +228,19 @@ fn main() {
         handle.shutdown();
     }
 
-    println!("\n-- many connections: {MANY_CONNS} pipelined conns, reactor vs threads --");
-    let backends: Vec<Backend> = [Backend::Reactor, Backend::Threads]
-        .into_iter()
-        .filter(|b| b.available())
-        .collect();
-    let mut reply_sets: Vec<(Backend, Vec<String>)> = Vec::new();
-    for &backend in &backends {
-        let outcome = many_connections(backend, &specs);
-        let threads = outcome
-            .threads
-            .map_or_else(|| "n/a".to_string(), |t| t.to_string());
-        println!(
-            "{:>7} backend: {MANY_CONNS} conns x {FRAMES_PER_CONN} reqs   {:>10.2?} total   {:>9.0} req/s   {threads:>5} process threads",
-            backend.name(),
-            outcome.elapsed,
-            outcome.rps,
-        );
-        reply_sets.push((backend, outcome.replies));
-    }
-    if let [(_, first), (_, second)] = reply_sets.as_slice() {
-        assert_eq!(
-            first, second,
-            "reactor and thread backends must produce byte-identical reply frames"
-        );
-        println!(
-            "         both backends produced byte-identical reply frames ({} replies)",
-            reply_sets[0].1.len()
-        );
-    }
+    println!("\n-- many connections: {MANY_CONNS} pipelined conns on the reactor ---");
+    let outcome = many_connections(&specs);
+    println!(
+        "{MANY_CONNS} conns x {FRAMES_PER_CONN} reqs   {:>10.2?} total   {:>9.0} req/s   {} process threads (budget {})",
+        outcome.elapsed, outcome.rps, outcome.threads, outcome.budget,
+    );
+    assert!(
+        outcome.threads <= outcome.budget,
+        "the reactor must serve {MANY_CONNS} connections on a fixed thread budget \
+         ({} process threads > {} before start + 1 reactor + {MANY_CONNS_WORKERS} pool workers)",
+        outcome.threads,
+        outcome.budget - 1 - MANY_CONNS_WORKERS,
+    );
 
     println!("\n-- observability overhead: detailed metrics on vs off (warm) --");
     let (on, off) = obs_compare(&specs);
@@ -348,22 +329,24 @@ fn clean_path_sheds(specs: &[lcl_problem::ProblemSpec]) -> u64 {
         .sum()
 }
 
-/// Experiment 8b: shed-path reply latency. A burst of slow solves pins the
-/// single worker and fills the queue to the shed threshold; a separate
-/// probe connection then times rejected classify round-trips. The probe
-/// connection has nothing pending, so each rejection's latency is pure
-/// shed path: parse, admission check, pre-rendered `overloaded` frame.
+/// Experiment 8b: shed-path reply latency. Jobs that wait until the
+/// measurement ends pin the single worker (one running) and hold the queue
+/// at the shed threshold (the rest queued behind it); a probe connection
+/// then times rejected classify round-trips. The probe connection has
+/// nothing pending, so each rejection's latency is pure shed path: parse,
+/// admission check, pre-rendered `overloaded` frame.
 fn shed_latency() -> (Duration, usize) {
     use lcl_problem::json::JsonValue;
-    use lcl_problem::{Instance, RequestEnvelope, ResponseEnvelope, Topology};
+    use lcl_problem::{RequestEnvelope, ResponseEnvelope};
     use lcl_server::AdmissionConfig;
     use std::io::{BufRead, BufReader, Write};
 
     const PROBES: usize = 200;
+    const SHED_QUEUE_DEPTH: usize = 2;
     let service = Arc::new(
         Service::new(Engine::builder().parallelism(1).cache_shards(1).build()).with_admission(
             AdmissionConfig {
-                shed_queue_depth: 2,
+                shed_queue_depth: SHED_QUEUE_DEPTH,
                 shed_p99_micros: 0,
                 quota_rps: 0,
                 quota_burst: 0,
@@ -378,28 +361,30 @@ fn shed_latency() -> (Duration, usize) {
         .start()
         .expect("start server");
 
-    // Pin the pool: the solve burst arrives faster than the one worker can
-    // drain it, so the queue settles at the threshold (excess solves shed)
-    // and stays there for the duration of the running solve — hundreds of
-    // milliseconds, plenty for a 200-probe measurement that takes tens.
+    // Pin the pool: one job running and SHED_QUEUE_DEPTH queued behind it,
+    // each holding its worker until its channel closes after the probes, so
+    // the queue cannot drain partway through the measurement. The running
+    // job spins rather than sleeping in `recv`, keeping its worker's CPU
+    // busy: a sleeping worker leaves a small host's CPUs idle, and waking
+    // idle vCPUs on a shared VM adds millisecond outliers to the probes'
+    // round trips.
     let spec = lcl_problems::coloring(3).to_spec();
-    let instance = Instance::from_indices(Topology::Cycle, &[0; 1200]);
-    let mut flood = std::net::TcpStream::connect(handle.addr()).expect("connect flood");
-    flood.set_nodelay(true).expect("nodelay");
-    for id in 0..8i64 {
-        let mut line = RequestEnvelope::new(
-            id,
-            "solve",
-            JsonValue::object([
-                ("problem", spec.to_json()),
-                ("instance", instance.to_json()),
-            ]),
-        )
-        .to_json_string();
-        line.push('\n');
-        flood.write_all(line.as_bytes()).expect("flood send");
+    let release: Vec<mpsc::Sender<()>> = (0..=SHED_QUEUE_DEPTH)
+        .map(|_| {
+            let (release, pinned) = mpsc::channel::<()>();
+            drop(service.engine().dispatch(move || {
+                while let Err(mpsc::TryRecvError::Empty) = pinned.try_recv() {
+                    std::hint::spin_loop();
+                }
+            }));
+            release
+        })
+        .collect();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while service.engine().pool_stats().queue_depth != SHED_QUEUE_DEPTH {
+        assert!(Instant::now() < deadline, "the pinning job never started");
+        thread::yield_now();
     }
-    flood.flush().expect("flood flush");
 
     let probe_stream = std::net::TcpStream::connect(handle.addr()).expect("connect probe");
     probe_stream.set_nodelay(true).expect("nodelay");
@@ -424,15 +409,9 @@ fn shed_latency() -> (Duration, usize) {
         ResponseEnvelope::from_json_str(reply.trim_end()).expect("probe reply parses")
     };
 
-    // Settle: probe until the first rejection, so the timed loop below
-    // measures sheds only (the solves need a moment to reach the queue).
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        if round_trip().result.is_err() {
-            break;
-        }
-        assert!(Instant::now() < deadline, "queue shedding never engaged");
-    }
+    // One untimed probe first, so the timed loop below measures sheds only,
+    // not the reactor accepting and registering the probe connection.
+    assert!(round_trip().result.is_err(), "queue shedding never engaged");
     let mut latencies = Vec::with_capacity(PROBES);
     for _ in 0..PROBES {
         let start = Instant::now();
@@ -447,7 +426,7 @@ fn shed_latency() -> (Duration, usize) {
     }
     drop(probe_writer);
     drop(probe_reader);
-    drop(flood);
+    drop(release); // ends the pinning jobs
     handle.shutdown();
     latencies.sort();
     let p99 = latencies[latencies.len() - 1 - latencies.len() / 100];
@@ -606,31 +585,33 @@ fn splice_compare(specs: &[lcl_problem::ProblemSpec]) -> (Duration, Duration, us
 }
 
 /// Experiment 5 configuration: how many simultaneously open connections,
-/// and how many pipelined classify requests each sends.
+/// how many pipelined classify requests each sends, and the pool width.
 const MANY_CONNS: usize = 512;
 const FRAMES_PER_CONN: usize = 8;
+const MANY_CONNS_WORKERS: usize = 4;
 
 struct ManyConnOutcome {
     elapsed: Duration,
     rps: f64,
     /// Process thread count sampled while all connections were open.
-    threads: Option<usize>,
-    /// Every raw reply frame, sorted (ids are deterministic, so the two
-    /// backends must agree byte-for-byte).
-    replies: Vec<String>,
+    threads: usize,
+    /// The fixed budget: the thread count before the server existed, plus
+    /// one reactor thread and the pool workers.
+    budget: usize,
 }
 
-/// Opens [`MANY_CONNS`] connections against a server on the given backend,
-/// floods [`FRAMES_PER_CONN`] pipelined classify frames down each, then
-/// drains and verifies every reply (id echo + success).
-fn many_connections(backend: Backend, specs: &[lcl_problem::ProblemSpec]) -> ManyConnOutcome {
+/// Opens [`MANY_CONNS`] connections against a reactor server, floods
+/// [`FRAMES_PER_CONN`] pipelined classify frames down each, then drains
+/// and verifies every reply (id echo + success).
+fn many_connections(specs: &[lcl_problem::ProblemSpec]) -> ManyConnOutcome {
     use lcl_problem::json::JsonValue;
     use lcl_problem::{RequestEnvelope, ResponseEnvelope};
 
-    let service = Arc::new(Service::new(Engine::builder().parallelism(4).build()));
-    let server = Server::bind(Arc::clone(&service), "127.0.0.1:0")
-        .expect("bind loopback")
-        .backend(backend);
+    let before = process_threads();
+    let service = Arc::new(Service::new(
+        Engine::builder().parallelism(MANY_CONNS_WORKERS).build(),
+    ));
+    let server = Server::bind(Arc::clone(&service), "127.0.0.1:0").expect("bind loopback");
     let handle = server.start().expect("start server");
     let addr = handle.addr();
 
@@ -645,7 +626,7 @@ fn many_connections(backend: Backend, specs: &[lcl_problem::ProblemSpec]) -> Man
     let mut conns: Vec<Client> = (0..MANY_CONNS)
         .map(|i| Client::connect(addr).unwrap_or_else(|e| panic!("connect {i}: {e}")))
         .collect();
-    // Both backends account connections asynchronously; sample the thread
+    // The reactor accounts connections asynchronously; sample the thread
     // count only once every connection is actually being served.
     let deadline = Instant::now() + Duration::from_secs(30);
     while service.metrics().open_connections() < MANY_CONNS as u64 {
@@ -654,8 +635,8 @@ fn many_connections(backend: Backend, specs: &[lcl_problem::ProblemSpec]) -> Man
     }
     let threads = process_threads();
 
-    // Serialize all request frames up front (ids deterministic across
-    // backends), so the timed section is wire + dispatch + pool + write.
+    // Serialize all request frames up front, so the timed section is wire +
+    // dispatch + pool + write.
     let frames: Vec<Vec<String>> = (0..MANY_CONNS)
         .map(|i| {
             (0..FRAMES_PER_CONN)
@@ -675,7 +656,6 @@ fn many_connections(backend: Backend, specs: &[lcl_problem::ProblemSpec]) -> Man
             conn.send_frame(frame).expect("send frame");
         }
     }
-    let mut replies: Vec<String> = Vec::with_capacity(MANY_CONNS * FRAMES_PER_CONN);
     for (i, conn) in conns.iter_mut().enumerate() {
         for j in 0..FRAMES_PER_CONN {
             let raw = conn.recv_frame().expect("reply arrives");
@@ -686,7 +666,6 @@ fn many_connections(backend: Backend, specs: &[lcl_problem::ProblemSpec]) -> Man
                 "replies echo ids in request order"
             );
             assert!(reply.is_ok(), "classification succeeds");
-            replies.push(raw);
         }
     }
     let elapsed = start.elapsed();
@@ -694,23 +673,22 @@ fn many_connections(backend: Backend, specs: &[lcl_problem::ProblemSpec]) -> Man
 
     drop(conns);
     handle.shutdown();
-    replies.sort();
     ManyConnOutcome {
         elapsed,
         rps,
         threads,
-        replies,
+        budget: before + 1 + MANY_CONNS_WORKERS,
     }
 }
 
-/// The current process's thread count from `/proc/self/status` (Linux; the
-/// experiment prints `n/a` elsewhere).
-fn process_threads() -> Option<usize> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    status
+/// The current process's thread count from `/proc/self/status`.
+fn process_threads() -> usize {
+    std::fs::read_to_string("/proc/self/status")
+        .expect("read /proc/self/status")
         .lines()
         .find_map(|line| line.strip_prefix("Threads:"))
         .and_then(|value| value.trim().parse().ok())
+        .expect("Threads: line in /proc/self/status")
 }
 
 /// Measures the host's single-connection ceiling with a trivial line-echo

@@ -11,7 +11,7 @@
 //! and by the `--metrics-addr` HTTP listener ([`crate::scrape`]).
 //!
 //! The document is a *pure function of the counter state*: same counters,
-//! same bytes, whichever backend produced them. Only `lcl_uptime_seconds`
+//! same bytes, whichever front-end produced them. Only `lcl_uptime_seconds`
 //! (wall clock) and the `backend` label of `lcl_build_info` depend on
 //! anything other than the counters. Families render in a fixed order and
 //! every label value the renderer emits is `[a-zA-Z0-9_.-]+`, so no label
@@ -737,7 +737,7 @@ mod tests {
             service
                 .metrics()
                 .record_stream_first_chunk(Duration::from_micros(42));
-            service.metrics().set_backend("threads");
+            service.metrics().set_backend("stdio");
             service
         };
         let (a, b) = (build(), build());

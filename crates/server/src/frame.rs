@@ -1,21 +1,21 @@
 //! NDJSON framing: bytes in, frames out; replies out, in order.
 //!
-//! Every front-end — the epoll reactor, the thread backend and stdio —
-//! turns its input bytes into request frames through one [`FrameDecoder`].
+//! Both front-ends — the epoll reactor and stdio — turn their input bytes
+//! into request frames through one [`FrameDecoder`].
 //! The decoder owns every framing rule: the [`MAX_FRAME_BYTES`] bound (an
 //! oversized line is discarded up to its newline and surfaces as
 //! [`Frame::Oversized`], so the connection stays usable and the offender
 //! gets a structured error reply instead of unbounded buffering), skipping
 //! blank lines, lossy UTF-8 decoding, and treating a final unterminated
 //! line at end of stream as a frame. The reactor pushes whatever its
-//! nonblocking reads return; the blocking front-ends go through
-//! [`read_frame`], a thin loop over the decoder.
+//! nonblocking reads return; stdio goes through [`read_frame`], a thin
+//! loop over the decoder over a blocking reader.
 //!
-//! Replies leave the blocking front-ends through [`write_reply`], the
-//! ordered-reply writer shared by the thread backend and stdio. It appends
-//! newline terminators but flushes only while it waits on a still-running
-//! job or after a `solve_stream` chunk: the thread backend batches several
-//! pipelined replies per flush, stdio flushes after every reply.
+//! Replies leave stdio through [`write_reply`], which writes one request's
+//! frames in order. It appends newline terminators and flushes while it
+//! waits on a still-running job and after every `solve_stream` chunk; the
+//! terminal frame's flush is the caller's. The reactor assembles its own
+//! output segments for `writev`.
 
 use crate::service::{PendingResponse, StreamFrame};
 use std::io::{self, BufRead, Write};

@@ -1,6 +1,6 @@
 //! # lcl-server
 //!
-//! A dependency-free (`std::net` + `std::thread`) network service exposing
+//! A dependency-free (`std::net` + raw `epoll`, so Linux only) service exposing
 //! the LCL classification pipeline — the `Engine` of `lcl-classifier` — over
 //! a newline-delimited JSON (NDJSON) protocol.
 //!
@@ -26,18 +26,16 @@
 //! calling thread, everything else one worker-pool job) → in-order reply.
 //! The front-ends differ only in how they move bytes:
 //!
-//! * **TCP** ([`Server`]) — *pipelined* connections: every frame is
+//! * **TCP** ([`Server`]) — *pipelined* connections on one epoll
+//!   **reactor**: a single event-loop thread serves *all* connections —
+//!   thousands of sockets on a fixed thread budget. Every frame is
 //!   dispatched into the engine's *persistent worker pool* immediately
 //!   (bounded per-connection window, [`Server::max_inflight`]) and replies
 //!   are emitted **in request order**, so a single connection can keep the
-//!   whole pool busy; nothing is spawned on the per-request path, and
+//!   whole pool busy; nothing is spawned on the per-request path,
+//!   [`Server::max_conns`] caps the accepted-connection count, and
 //!   [`ServerHandle`] shuts the listener and every open connection down
-//!   gracefully. Two interchangeable connection [`Backend`]s implement the
-//!   identical wire contract: an epoll **reactor** (Linux, default there)
-//!   that serves *all* connections on one event-loop thread — thousands of
-//!   sockets on a fixed thread budget — and the portable **threads**
-//!   backend (a reader/writer thread pair per connection).
-//!   [`Server::max_conns`] caps the accepted-connection count either way;
+//!   gracefully;
 //! * **stdio** ([`serve_stdio`]) — the `lcl-serve --stdio` pipe mode, same
 //!   frames over stdin/stdout: a connection with an in-flight window of one.
 //!
@@ -71,19 +69,22 @@
 //! # }
 //! ```
 
-// `deny` rather than `forbid`: the reactor backend's epoll binding
+// `deny` rather than `forbid`: the reactor's epoll binding
 // (`reactor/sys.rs`) is the one module allowed to contain `unsafe` — raw
 // `extern "C"` declarations in the spirit of the workspace's offline
 // `shims/`. Everything else in the crate remains unsafe-free.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+// The TCP front-end is an epoll reactor; Linux is the only target.
+#[cfg(not(target_os = "linux"))]
+compile_error!("lcl-server supports Linux only: its TCP front-end is an epoll reactor");
+
 mod admission;
 pub mod client;
 mod expo;
 mod frame;
 mod metrics;
-#[cfg(target_os = "linux")]
 mod reactor;
 mod scrape;
 mod service;
@@ -100,5 +101,5 @@ pub use metrics::{KindStats, ServerMetrics};
 pub use scrape::MetricsListener;
 pub use service::{error_reply, RequestKind, Service, DEFAULT_MAX_CHUNK_BYTES};
 pub use stdio::serve_stdio;
-pub use tcp::{Backend, Server, ServerHandle, BACKEND_ENV_VAR, DEFAULT_MAX_INFLIGHT};
+pub use tcp::{Server, ServerHandle, DEFAULT_MAX_INFLIGHT};
 pub use trace::{slow_trace_line, TraceSink, DEFAULT_TRACE_RING_CAPACITY};

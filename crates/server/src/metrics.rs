@@ -115,7 +115,7 @@ pub struct ServerMetrics {
     /// Whether histogram recording is on (the plain counters always are).
     detailed: AtomicBool,
     /// The serving front-end, for the `stats` reply and the exposition's
-    /// `build_info`: 0 = none yet, 1 = reactor, 2 = threads, 3 = stdio.
+    /// `build_info`: 0 = none yet, 1 = reactor, 2 = stdio.
     /// Last-started front-end wins when several share one service (the
     /// `--smoke` harness does this deliberately).
     backend: AtomicU8,
@@ -124,7 +124,7 @@ pub struct ServerMetrics {
     pipelined_inflight: AtomicU64,
     /// High-water mark of `pipelined_inflight` since the service started.
     pipelined_peak: AtomicU64,
-    /// Currently open connections (a gauge; both backends maintain it).
+    /// Currently open TCP connections (a gauge).
     open_connections: AtomicU64,
     /// High-water mark of `open_connections` since the service started.
     peak_connections: AtomicU64,
@@ -132,16 +132,16 @@ pub struct ServerMetrics {
     total_accepted: AtomicU64,
     /// Connections closed at accept time by the `--max-conns` cap.
     total_rejected: AtomicU64,
-    /// Reactor backend only: times the event loop woke from `epoll_wait`.
+    /// TCP only: times the reactor's event loop woke from `epoll_wait`.
     reactor_wakeups: AtomicU64,
-    /// Reactor backend only: completed worker-pool jobs whose eventfd
+    /// TCP only: completed worker-pool jobs whose eventfd
     /// notification the reactor consumed.
     reactor_completions: AtomicU64,
     /// `classify` replies answered by the zero-serialization fast lane: the
     /// cached payload bytes were spliced around the request id instead of
     /// serializing the verdict ([`crate::SplicedReply`]).
     spliced_frames: AtomicU64,
-    /// Reactor backend only: successful `writev` calls that flushed
+    /// TCP only: successful `writev` calls that flushed
     /// connection output (each gathers up to a batch of reply segments —
     /// compare with `reactor_wakeups` for the coalescing ratio).
     writev_batches: AtomicU64,
@@ -231,14 +231,12 @@ impl ServerMetrics {
         self.detailed.load(Ordering::Relaxed)
     }
 
-    /// Registers the serving front-end by name (`reactor`, `threads`,
-    /// `stdio`); the last started front-end wins when several share one
-    /// service.
+    /// Registers the serving front-end by name (`reactor` or `stdio`); the
+    /// last started front-end wins when several share one service.
     pub fn set_backend(&self, name: &str) {
         let code = match name {
             "reactor" => 1,
-            "threads" => 2,
-            "stdio" => 3,
+            "stdio" => 2,
             _ => 0,
         };
         self.backend.store(code, Ordering::Relaxed);
@@ -248,8 +246,7 @@ impl ServerMetrics {
     pub fn backend_name(&self) -> &'static str {
         match self.backend.load(Ordering::Relaxed) {
             1 => "reactor",
-            2 => "threads",
-            3 => "stdio",
+            2 => "stdio",
             _ => "none",
         }
     }
@@ -303,7 +300,7 @@ impl ServerMetrics {
     }
 
     /// Accounts one successful vectored write flushing connection output on
-    /// the reactor backend.
+    /// the reactor.
     pub(crate) fn record_writev_batch(&self) {
         self.writev_batches.fetch_add(1, Ordering::Relaxed);
     }
@@ -342,14 +339,13 @@ impl ServerMetrics {
         self.pipelined_peak.load(Ordering::Relaxed)
     }
 
-    /// Times the reactor's event loop woke from `epoll_wait` (0 on other
-    /// backends).
+    /// Times the reactor's event loop woke from `epoll_wait` (0 on stdio).
     pub fn reactor_wakeups(&self) -> u64 {
         self.reactor_wakeups.load(Ordering::Relaxed)
     }
 
     /// Completed worker-pool jobs whose eventfd notification the reactor
-    /// consumed (0 on other backends).
+    /// consumed (0 on stdio).
     pub fn reactor_completion_count(&self) -> u64 {
         self.reactor_completions.load(Ordering::Relaxed)
     }
@@ -359,8 +355,7 @@ impl ServerMetrics {
         self.spliced_frames.load(Ordering::Relaxed)
     }
 
-    /// Successful vectored writes flushing connection output (0 on
-    /// non-reactor backends).
+    /// Successful vectored writes flushing connection output (0 on stdio).
     pub fn writev_batches(&self) -> u64 {
         self.writev_batches.load(Ordering::Relaxed)
     }
@@ -614,8 +609,6 @@ mod tests {
         assert_eq!(metrics.backend_name(), "none");
         metrics.set_backend("reactor");
         assert_eq!(metrics.backend_name(), "reactor");
-        metrics.set_backend("threads");
-        assert_eq!(metrics.backend_name(), "threads");
         metrics.set_backend("stdio");
         assert_eq!(metrics.backend_name(), "stdio");
         metrics.set_backend("bogus");

@@ -1,25 +1,22 @@
-//! The readiness-based connection backend: one `epoll`-driven event loop
-//! serving every TCP connection on a **fixed thread budget** — the reactor
-//! thread plus the engine's worker pool — instead of the portable thread
-//! backend's two OS threads per connection.
+//! The TCP connection layer: one `epoll`-driven event loop serving every
+//! connection on a **fixed thread budget** — the reactor thread plus the
+//! engine's worker pool — whatever the connection count.
 //!
-//! The protocol contract is byte-identical to the thread backend
-//! (`docs/PROTOCOL.md` v1.1): per-connection in-order replies, id echo, the
-//! exact `max_inflight` window, structured errors for malformed and
-//! oversized frames, and backpressure by *not reading* from a connection
-//! whose window is full. What changes is purely the execution shape:
+//! It implements the `docs/PROTOCOL.md` v1.1 contract: per-connection
+//! in-order replies, id echo, the exact `max_inflight` window, structured
+//! errors for malformed and oversized frames, and backpressure by *not
+//! reading* from a connection whose window is full. The execution shape:
 //!
 //! * **One event loop** ([`Reactor::run`]) owns the listener, every
 //!   connection socket (all nonblocking) and an [`EventFd`] waker, parked in
 //!   `epoll_wait` when nothing is ready.
-//! * **Per-connection state machines** ([`Conn`]) carry what the thread
-//!   backend kept in stack frames: a [`FrameDecoder`] holding the partial
-//!   frame (the same decoder, and so the same framing rules, as the other
-//!   front-ends), the in-order queue of [`PendingResponse`]s, the
+//! * **Per-connection state machines** ([`Conn`]) carry a [`FrameDecoder`]
+//!   holding the partial frame (the same decoder, and so the same framing
+//!   rules, as stdio), the in-order queue of [`PendingResponse`]s, the
 //!   serialized-but-unwritten output bytes, and the in-flight window
 //!   accounting (a slot is taken when a frame is dispatched and released
 //!   when its reply's bytes have been fully written to the socket).
-//! * **Completion signaling** replaces the parked writer thread: every
+//! * **Completion signaling** replaces a parked writer thread: every
 //!   frame is dispatched (`Service::dispatch` →
 //!   [`lcl_paths::Engine::dispatch_notify`]) with a notify hook that marks
 //!   the connection dirty and signals the eventfd once the reply is
@@ -31,21 +28,15 @@
 //!   while serialized reply bytes could not be written without blocking. A
 //!   socket with no interest at all is deregistered entirely, which also
 //!   keeps `EPOLLHUP`-spamming dead peers from busy-looping the reactor.
-//!
-//! The module is Linux-only (`epoll`); `crate::tcp` keeps the
-//! thread-per-connection code as the portable fallback and picks the
-//! default per platform ([`crate::Backend`]).
 
 mod poll;
 mod sys;
-
-pub(crate) use poll::EventFd;
 
 use crate::frame::{FrameDecoder, MAX_FRAME_BYTES};
 use crate::service::{PendingResponse, Service, StreamFrame};
 use crate::splice::FRAME_TAIL;
 use crate::trace::Trace;
-use poll::{Epoll, EpollEvent, EPOLLIN, EPOLLOUT, EVENT_BATCH};
+use poll::{Epoll, EpollEvent, EventFd, EPOLLIN, EPOLLOUT, EVENT_BATCH};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read};
 use std::net::{IpAddr, TcpListener, TcpStream};
@@ -69,10 +60,10 @@ const READ_CHUNK: usize = 16 * 1024;
 /// segments comfortably cover a burst of five spliced replies.
 const WRITEV_BATCH: usize = 16;
 
-/// Shared control state between a running backend, its `ServerHandle` and
+/// Shared control state between a running reactor, its `ServerHandle` and
 /// the worker pool's completion hooks: the shutdown flag, the eventfd that
-/// wakes the event loop (or the thread backend's accept wait), and the
-/// dirty list of connections whose jobs completed since the last wakeup.
+/// wakes the event loop, and the dirty list of connections whose jobs
+/// completed since the last wakeup.
 #[derive(Debug)]
 pub(crate) struct Control {
     shutdown: AtomicBool,
@@ -90,7 +81,7 @@ impl Control {
         }))
     }
 
-    /// Requests shutdown and wakes whatever loop is parked on the eventfd.
+    /// Requests shutdown and wakes the event loop through the eventfd.
     /// This is what replaced the old "dial your own listen address" hack:
     /// shutdown no longer depends on the listen address being connectable.
     pub(crate) fn trigger_shutdown(&self) {
@@ -99,13 +90,8 @@ impl Control {
     }
 
     /// Whether shutdown has been requested.
-    pub(crate) fn shutdown_requested(&self) -> bool {
+    fn shutdown_requested(&self) -> bool {
         self.shutdown.load(Ordering::SeqCst)
-    }
-
-    /// The eventfd loops register for wakeups.
-    pub(crate) fn waker(&self) -> &EventFd {
-        &self.wake
     }
 
     /// Called from a worker's completion hook: records that `token` has a
@@ -127,32 +113,6 @@ impl Control {
                 .lock()
                 .unwrap_or_else(|poisoned| poisoned.into_inner()),
         );
-    }
-}
-
-/// The thread backend's accept-side wait on Linux: an epoll set holding
-/// just the listener and the control eventfd, so a blocked accept loop can
-/// be woken by [`Control::trigger_shutdown`] instead of by dialing its own
-/// listen address.
-pub(crate) struct AcceptPoll {
-    epoll: Epoll,
-}
-
-impl AcceptPoll {
-    /// Registers the listener and the control waker.
-    pub(crate) fn new(listener: &TcpListener, control: &Control) -> io::Result<AcceptPoll> {
-        let epoll = Epoll::new()?;
-        epoll.add(listener.as_raw_fd(), EPOLLIN, TOKEN_LISTENER)?;
-        epoll.add(control.waker().raw(), EPOLLIN, TOKEN_WAKER)?;
-        Ok(AcceptPoll { epoll })
-    }
-
-    /// Parks until the listener is ready or the control eventfd fires (the
-    /// eventfd is deliberately never drained here: once shutdown signals it,
-    /// every later wait returns immediately and the loop observes the flag).
-    pub(crate) fn wait(&mut self) {
-        let mut buf = [EpollEvent::default(); EVENT_BATCH];
-        let _ = self.epoll.wait(&mut buf, -1);
     }
 }
 
@@ -187,7 +147,7 @@ impl Reactor {
         listener.set_nonblocking(true)?;
         let epoll = Epoll::new()?;
         epoll.add(listener.as_raw_fd(), EPOLLIN, TOKEN_LISTENER)?;
-        epoll.add(control.waker().raw(), EPOLLIN, TOKEN_WAKER)?;
+        epoll.add(control.wake.raw(), EPOLLIN, TOKEN_WAKER)?;
         Ok(Reactor {
             epoll,
             listener,
@@ -241,7 +201,7 @@ impl Reactor {
                 }
             }
             if woken {
-                self.control.waker().drain();
+                self.control.wake.drain();
                 let before = touched.len();
                 self.control.take_dirty(&mut touched);
                 self.service
@@ -394,8 +354,8 @@ impl OutSeg {
     }
 }
 
-/// One connection's complete state: everything the thread backend kept in
-/// two blocked threads' stacks, as data.
+/// One connection's complete state, as data: decoder, in-order reply queue,
+/// unwritten output and window accounting.
 struct Conn {
     stream: TcpStream,
     token: u64,

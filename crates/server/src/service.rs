@@ -7,8 +7,7 @@
 //! [`ResponseEnvelope`], with errors mapped to structured [`ErrorReply`]s
 //! whose category identifies the failing subsystem of [`lcl_paths::Error`].
 //!
-//! Every front-end (the reactor, the thread backend and stdio) goes through
-//! one path: bytes → [`crate::frame::FrameDecoder`] → `Service::dispatch`
+//! Both front-ends (the reactor and stdio) go through one path: bytes → [`crate::frame::FrameDecoder`] → `Service::dispatch`
 //! → [`PendingResponse`] → reply. `dispatch` resolves oversized frames,
 //! splice-lane hits and admission denials on the calling thread; everything
 //! else — JSON parse, execution, serialization — is one worker-pool job

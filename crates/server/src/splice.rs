@@ -9,11 +9,11 @@
 //! {"id":<id>,"kind":"classify","ok":true,"payload":<cached bytes>}
 //! ```
 //!
-//! so the backends can assemble a reply frame from three constant pieces
+//! so the front-ends can assemble a reply frame from three constant pieces
 //! plus the shared payload, without building a [`JsonValue`] tree or
-//! serializing anything: the thread backend streams the pieces straight
-//! into its buffered writer, the reactor enqueues the shared payload as a
-//! borrowed output segment for its vectored writes. The decomposition is
+//! serializing anything: stdio streams the pieces straight into its
+//! writer, the reactor enqueues the shared payload as a borrowed output
+//! segment for its vectored writes. The decomposition is
 //! pinned byte-identical to the canonical serializer
 //! ([`ResponseEnvelope::ok`]) by the tests below — splicing is invisible on
 //! the wire.
@@ -43,7 +43,7 @@ pub(crate) const FRAME_TAIL: &[u8] = b"}\n";
 ///
 /// The payload bytes are shared (`Arc<[u8]>`) with the engine's reply-bytes
 /// cache; materializing the frame is an id-format plus a memcpy (or, on the
-/// reactor backend, no copy at all — the payload is written from the cache
+/// reactor, no copy at all — the payload is written from the cache
 /// entry by `writev`). [`SplicedReply::to_frame_string`] produces the exact
 /// line the canonical serializer would have produced.
 #[derive(Clone, Debug)]
@@ -76,8 +76,8 @@ impl SplicedReply {
     }
 
     /// Writes the full wire frame (newline included) into `w`. This is the
-    /// thread backend's path: the pieces stream into the connection's
-    /// buffered writer with no per-frame `String`.
+    /// stdio path: the pieces stream into the writer with no per-frame
+    /// `String`.
     ///
     /// # Errors
     ///
@@ -94,8 +94,8 @@ impl SplicedReply {
     /// Materializes the reply as the serialized envelope line (without the
     /// newline terminator), byte-identical to what
     /// [`ResponseEnvelope::ok`](lcl_paths::problem::ResponseEnvelope::ok)
-    /// would have printed. Tests compare against it; the connection
-    /// backends write the pieces directly instead.
+    /// would have printed. Tests compare against it; the front-ends write
+    /// the pieces directly instead.
     #[cfg(test)]
     pub(crate) fn to_frame_string(&self) -> String {
         let mut out = self.head_bytes();

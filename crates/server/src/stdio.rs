@@ -4,8 +4,8 @@
 //! (`echo '{"v":1,…}' | lcl-serve --stdio`), and doubles as the in-memory
 //! harness the protocol-robustness tests drive with `io::Cursor`. It is a
 //! connection with an in-flight window of one: decode a frame, dispatch it
-//! through `Service::dispatch`, write its reply with the ordered-reply
-//! writer the thread backend uses, flush, repeat.
+//! through `Service::dispatch`, write its reply with `frame::write_reply`,
+//! flush, repeat.
 
 use crate::frame::{read_frame, write_reply, FrameDecoder, MAX_FRAME_BYTES};
 use crate::service::Service;
@@ -18,7 +18,7 @@ use std::sync::Arc;
 /// labeling progress with O(chunk) buffering. Oversized and malformed
 /// frames get structured error replies; only I/O errors abort the loop.
 ///
-/// Every frame takes the same path as on the TCP backends, so the wire
+/// Every frame takes the same path as over TCP, so the wire
 /// bytes and the cache tallies are identical whichever front-end served
 /// the workload: hot `classify` hits are spliced from cached bytes on this
 /// thread, everything else runs as one worker-pool job.

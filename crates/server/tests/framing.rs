@@ -1,15 +1,15 @@
-//! Framing differential: one byte script, served by the epoll reactor, the
-//! thread backend and stdio, must come back as byte-identical reply
-//! streams. Over TCP the script goes out in seeded random 1–64-byte writes,
-//! each flushed, so every frame — a 1 MiB one included — is split across
-//! many reads; stdio reads it through a 64-byte buffer over the same kind
-//! of ragged source.
+//! Framing differential: one byte script, served by the epoll reactor and
+//! by stdio, must come back as byte-identical reply streams. Over TCP the
+//! script goes out in seeded random 1–64-byte writes, each flushed, so
+//! every frame — a 1 MiB one included — reaches the reactor split across
+//! many ragged reads; stdio reads it through a 64-byte buffer over the same
+//! kind of ragged source.
 
 use lcl_paths::problem::json::JsonValue;
 use lcl_paths::problem::{RequestEnvelope, ResponseEnvelope};
 use lcl_paths::problem::{StreamInputs, StreamInstanceSpec, Topology};
 use lcl_paths::{problems, Engine};
-use lcl_server::{serve_stdio, Backend, Server, Service, MAX_FRAME_BYTES};
+use lcl_server::{serve_stdio, Server, Service, MAX_FRAME_BYTES};
 use std::io::{BufReader, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::Arc;
@@ -121,11 +121,10 @@ impl Read for Ragged<'_> {
     }
 }
 
-fn over_tcp(backend: Backend, script: &[u8], seed: u64) -> (Vec<u8>, Arc<Service>) {
+fn over_tcp(script: &[u8], seed: u64) -> (Vec<u8>, Arc<Service>) {
     let service = service();
     let handle = Server::bind(Arc::clone(&service), "127.0.0.1:0")
         .expect("bind")
-        .backend(backend)
         .start()
         .expect("start");
     let mut stream = TcpStream::connect(handle.addr()).expect("connect");
@@ -204,18 +203,13 @@ fn every_front_end_frames_one_script_identically() {
     }
 
     for (round, seed) in [1u64, 0xDEAD_BEEF].into_iter().enumerate() {
-        for backend in [Backend::Reactor, Backend::Threads] {
-            if !backend.available() {
-                continue;
-            }
-            let (tcp, service) = over_tcp(backend, &script, seed);
-            assert!(
-                tcp == reference,
-                "[{backend}, round {round}] reply stream differs from stdio:\n{}\n---\n{}",
-                String::from_utf8_lossy(&tcp),
-                text
-            );
-            assert!(service.metrics().spliced_frames() >= 1, "[{backend}]");
-        }
+        let (tcp, service) = over_tcp(&script, seed);
+        assert!(
+            tcp == reference,
+            "[round {round}] reply stream differs from stdio:\n{}\n---\n{}",
+            String::from_utf8_lossy(&tcp),
+            text
+        );
+        assert!(service.metrics().spliced_frames() >= 1, "[round {round}]");
     }
 }
