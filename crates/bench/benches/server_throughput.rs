@@ -61,7 +61,7 @@ use lcl_bench::banner;
 use lcl_classifier::{Classification, Engine};
 use lcl_problem::NormalizedLcl;
 use lcl_problems::corpus;
-use lcl_server::{Client, Server, Service};
+use lcl_server::{Client, Counter, Server, Service};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread;
@@ -566,7 +566,7 @@ fn splice_compare(specs: &[lcl_problem::ProblemSpec]) -> (Duration, Duration, us
         spliced_replies, rendered_replies,
         "spliced replies must be byte-identical to freshly serialized ones"
     );
-    assert!(service.metrics().spliced_frames() >= 2 * specs.len() as u64);
+    assert!(service.metrics().get(Counter::SplicedFrames) >= 2 * specs.len() as u64);
     assert!(service.engine().cache_stats().bytes_hits >= specs.len() as u64);
 
     let mut fastest = [Duration::MAX; 2];
@@ -629,7 +629,7 @@ fn many_connections(specs: &[lcl_problem::ProblemSpec]) -> ManyConnOutcome {
     // The reactor accounts connections asynchronously; sample the thread
     // count only once every connection is actually being served.
     let deadline = Instant::now() + Duration::from_secs(30);
-    while service.metrics().open_connections() < MANY_CONNS as u64 {
+    while service.metrics().get(Counter::ConnectionsOpen) < MANY_CONNS as u64 {
         assert!(Instant::now() < deadline, "connections never all opened");
         thread::yield_now();
     }

@@ -12,14 +12,17 @@
 //!   12.5%) from a [`HistogramSnapshot`]. Snapshots are mergeable, which is
 //!   what makes per-shard or per-thread histograms aggregatable.
 //! * [`TraceRing`] — a fixed-size lock-free ring of [`TraceRecord`]s (the
-//!   per-stage timing of one finished request). Writers claim slots with one
-//!   `fetch_add` and publish through a per-slot sequence counter (a seqlock
+//!   per-stage timing of one finished request). Writers take a ticket with
+//!   one `fetch_add`, claim the ticket's slot by moving its sequence counter
+//!   from even to odd, and publish by making it even again (a seqlock
 //!   flattened onto atomics — no `unsafe`, which this crate forbids);
-//!   readers that race a writer simply skip the torn slot.
+//!   readers that race a writer simply skip the slot.
 //!
-//! Recording into either structure never blocks and never allocates.
+//! Recording into either structure never allocates. Histogram recording
+//! never blocks; a trace push waits only while another writer, a whole
+//! number of laps away on the same slot, is mid-store.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 
 /// Sub-bucket bits per power-of-two octave: values within one octave are
 /// split into `2^SUB_BITS` linear sub-buckets.
@@ -314,10 +317,11 @@ impl TraceRecord {
     }
 }
 
-/// One ring slot: a per-slot sequence counter (odd = a writer is mid-store)
-/// plus the record flattened into relaxed atomics. A flattened seqlock —
-/// readers detect torn reads by re-checking the sequence, writers never
-/// wait.
+/// One ring slot: a per-slot sequence counter (odd = a writer is mid-store,
+/// 0 = never written) plus the record flattened into relaxed atomics. A
+/// flattened seqlock: a writer claims the slot by a compare-exchange from
+/// even to odd, so two writers never store into it at once; readers detect
+/// torn reads by re-checking the sequence.
 #[derive(Debug)]
 struct TraceSlot {
     seq: AtomicU64,
@@ -326,10 +330,14 @@ struct TraceSlot {
 
 /// A fixed-size lock-free ring buffer of the most recent [`TraceRecord`]s.
 ///
-/// [`TraceRing::push`] claims a slot with one `fetch_add` and overwrites the
+/// [`TraceRing::push`] takes a ticket with one `fetch_add` and overwrites the
 /// oldest record; [`TraceRing::recent`] returns the still-readable records,
 /// oldest first, skipping any slot a concurrent writer holds. Pushing is
-/// wait-free and allocation-free — suitable for a request hot path.
+/// allocation-free and waits only when a writer whose ticket is a whole
+/// number of laps away holds the same slot — with a ring larger than the
+/// number of concurrent writers that never happens, so it suits a request
+/// hot path. When two writers lap each other on one slot, the slot ends up
+/// holding one of their records whole, never a mix.
 #[derive(Debug)]
 pub struct TraceRing {
     slots: Vec<TraceSlot>,
@@ -364,18 +372,37 @@ impl TraceRing {
     pub fn push(&self, record: &TraceRecord) {
         let ticket = self.next.fetch_add(1, Ordering::Relaxed);
         let slot = &self.slots[(ticket % self.slots.len() as u64) as usize];
-        // Odd sequence marks the slot as mid-write; Release on the final
-        // even store publishes the words to readers' Acquire loads.
-        let seq = slot.seq.fetch_add(1, Ordering::AcqRel);
-        debug_assert_eq!(seq % 2, 0, "slot writers are serialized by tickets");
+        // Claim the slot: even → odd. Tickets alone do not serialize its
+        // writers — a writer one lap ahead can reach the slot while this
+        // one is still storing — so wait out any writer that holds it.
+        let mut seq = slot.seq.load(Ordering::Relaxed);
+        loop {
+            if !seq.is_multiple_of(2) {
+                std::hint::spin_loop();
+                seq = slot.seq.load(Ordering::Relaxed);
+                continue;
+            }
+            match slot
+                .seq
+                .compare_exchange_weak(seq, seq + 1, Ordering::Acquire, Ordering::Relaxed)
+            {
+                Ok(_) => break,
+                Err(current) => seq = current,
+            }
+        }
+        // The fence keeps the word stores after the odd claim for any
+        // reader that observes one of them; the Release store of the next
+        // even value publishes the words to readers' Acquire loads.
+        fence(Ordering::Release);
         for (word, value) in slot.words.iter().zip(record.encode()) {
             word.store(value, Ordering::Relaxed);
         }
-        slot.seq.fetch_add(1, Ordering::Release);
+        slot.seq.store(seq + 2, Ordering::Release);
     }
 
     /// The retained records, oldest first. Slots a concurrent writer is
-    /// mid-overwrite in are skipped rather than read torn.
+    /// mid-overwrite in, and slots no push has finished writing yet, are
+    /// skipped rather than read torn or empty.
     pub fn recent(&self) -> Vec<TraceRecord> {
         let end = self.next.load(Ordering::Acquire);
         let len = self.slots.len() as u64;
@@ -384,14 +411,17 @@ impl TraceRing {
         for ticket in start..end {
             let slot = &self.slots[(ticket % len) as usize];
             let before = slot.seq.load(Ordering::Acquire);
-            if !before.is_multiple_of(2) {
-                continue; // mid-write
+            if before == 0 || !before.is_multiple_of(2) {
+                continue; // never written, or mid-write
             }
             let mut words = [0u64; TRACE_WORDS];
             for (value, word) in words.iter_mut().zip(slot.words.iter()) {
                 *value = word.load(Ordering::Relaxed);
             }
-            if slot.seq.load(Ordering::Acquire) == before {
+            // Orders the word loads before the re-check: a word stored by
+            // a later writer makes the re-check see its odd claim or later.
+            fence(Ordering::Acquire);
+            if slot.seq.load(Ordering::Relaxed) == before {
                 out.push(TraceRecord::decode(&words));
             }
         }
@@ -603,5 +633,68 @@ mod tests {
             writer.join().unwrap();
         }
         assert_eq!(ring.pushed(), 2_000);
+    }
+
+    /// A record whose every field derives from `seed`.
+    fn seeded_record(seed: u64) -> TraceRecord {
+        TraceRecord {
+            id: Some(seed as i64),
+            problem_hash: Some(seed.wrapping_mul(31)),
+            queue_micros: seed,
+            parse_micros: seed + 1,
+            compute_micros: seed + 2,
+            serialize_micros: seed + 3,
+            write_micros: seed + 4,
+            total_micros: seed + 5,
+            ..TraceRecord::default()
+        }
+    }
+
+    #[test]
+    fn a_lapped_slot_keeps_one_whole_record() {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Arc;
+        // A one-slot ring makes every push lap the previous one, so writers
+        // whose tickets are a ring apart race for the slot on nearly every
+        // push. Before slots were claimed by compare-exchange, two of them
+        // could both write it and leave an even sequence over mixed words;
+        // release builds returned such torn records in most runs.
+        const WRITERS: u64 = 4;
+        const PUSHES: u64 = 200_000;
+        for round in 0..3 {
+            let ring = Arc::new(TraceRing::new(1));
+            let done = Arc::new(AtomicBool::new(false));
+            let writers: Vec<_> = (0..WRITERS)
+                .map(|t| {
+                    let ring = Arc::clone(&ring);
+                    std::thread::spawn(move || {
+                        for i in 0..PUSHES {
+                            ring.push(&seeded_record(t * PUSHES + i));
+                        }
+                    })
+                })
+                .collect();
+            let reader = {
+                let (ring, done) = (Arc::clone(&ring), Arc::clone(&done));
+                std::thread::spawn(move || {
+                    let (mut reads, mut torn) = (0u64, 0u64);
+                    while !done.load(Ordering::Relaxed) {
+                        for record in ring.recent() {
+                            reads += 1;
+                            torn += u64::from(record != seeded_record(record.queue_micros));
+                        }
+                    }
+                    (reads, torn)
+                })
+            };
+            for writer in writers {
+                writer.join().unwrap();
+            }
+            done.store(true, Ordering::Relaxed);
+            let (reads, torn) = reader.join().unwrap();
+            assert_eq!(torn, 0, "round {round}: {torn} of {reads} reads were torn");
+            assert_eq!(ring.pushed(), WRITERS * PUSHES);
+            assert_eq!(ring.recent().len(), 1);
+        }
     }
 }

@@ -97,7 +97,7 @@ pub use admission::AdmissionConfig;
 pub use client::{Client, ClientError, SolveReply, StreamSummary, DEFAULT_PIPELINE_WINDOW};
 pub use expo::{render_exposition, validate_exposition};
 pub use frame::MAX_FRAME_BYTES;
-pub use metrics::{KindStats, ServerMetrics};
+pub use metrics::{Backend, Counter, KindStats, ServerMetrics};
 pub use scrape::MetricsListener;
 pub use service::{error_reply, RequestKind, Service, DEFAULT_MAX_CHUNK_BYTES};
 pub use stdio::serve_stdio;

@@ -1,13 +1,16 @@
-//! Per-kind request counters and latency metrics of a running [`Service`].
+//! The counters a running [`Service`] keeps: the storage half of its
+//! metrics. What they are called on the wire, and how the `stats` reply and
+//! the metrics exposition render them, lives in one table in `expo.rs`.
 //!
 //! Every dispatched frame — including unparseable ones, which are accounted
-//! under the `invalid` pseudo-kind — bumps one [`KindStats`] bucket (request
+//! under the `invalid` pseudo-kind — bumps one per-kind bucket (request
 //! count, error count, cumulative and maximum latency) **and** one
-//! [`LatencyHistogram`], so the `stats` reply and the `metrics` exposition
-//! can report p50/p90/p99/p99.9 per kind, not just mean/max. Accounted
-//! latencies are clamped to ≥ 1 µs: a frame that was handled was not free,
-//! and the `invalid` histogram in particular must never hide rejected
-//! frames behind zero-duration samples.
+//! [`LatencyHistogram`], so both views can report p50/p90/p99/p99.9 per
+//! kind, not just mean/max. Accounted latencies are clamped to ≥ 1 µs: a
+//! frame that was handled was not free, and the `invalid` histogram in
+//! particular must never hide rejected frames behind zero-duration samples.
+//! The scalar counters and gauges are one array indexed by [`Counter`], so
+//! recording one is a single relaxed atomic operation.
 //!
 //! Histogram recording (not the plain counters) is gated by the *detailed*
 //! flag ([`ServerMetrics::set_detailed`]): the no-op-recorder mode the
@@ -17,7 +20,6 @@
 
 use crate::service::RequestKind;
 use lcl_paths::classifier::obs::{HistogramSnapshot, LatencyHistogram};
-use lcl_paths::problem::json::JsonValue;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::time::Duration;
 
@@ -92,21 +94,57 @@ impl KindStats {
     }
 }
 
-/// Per-kind request counters of a running service. All methods are lock-free
-/// and safe to call from any connection thread.
+/// The scalar counters and gauges of a [`ServerMetrics`], read with
+/// [`ServerMetrics::get`]; the HELP text of each one's exposition family
+/// says exactly what it counts.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub enum Counter {
+    /// Pipelined requests in flight (a gauge).
+    PipelineInflight,
+    /// High-water mark of `PipelineInflight`.
+    PipelinePeak,
+    /// Open TCP connections (a gauge).
+    ConnectionsOpen,
+    /// High-water mark of `ConnectionsOpen`.
+    ConnectionsPeak,
+    /// Connections accepted.
+    ConnectionsAccepted,
+    /// Connections refused by the `--max-conns` cap.
+    ConnectionsRejected,
+    /// Reactor returns from `epoll_wait`.
+    ReactorWakeups,
+    /// Pool completions the reactor consumed.
+    ReactorCompletions,
+    /// `classify` replies spliced from cached bytes.
+    SplicedFrames,
+    /// Vectored reply flushes on the reactor.
+    WritevBatches,
+}
+
+/// How many [`Counter`]s there are.
+pub(crate) const COUNTERS: usize = Counter::WritevBatches as usize + 1;
+
+/// Per-kind buckets: one per [`RequestKind`], in [`RequestKind::ALL`]
+/// order, then `invalid`.
+const KINDS: usize = RequestKind::ALL.len() + 1;
+
+/// The serving front-end a service runs under, for the `stats` reply and
+/// the exposition's `build_info` (`none` before one registers).
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub enum Backend {
+    /// The epoll reactor serving TCP.
+    Reactor = 1,
+    /// The stdio pipe front-end.
+    Stdio = 2,
+}
+
+/// Request counters and gauges of a running service. All methods are
+/// lock-free and safe to call from any connection thread.
 #[derive(Debug)]
 pub struct ServerMetrics {
-    classify: KindCounters,
-    classify_many: KindCounters,
-    solve: KindCounters,
-    solve_stream: KindCounters,
-    generate: KindCounters,
-    stats: KindCounters,
-    health: KindCounters,
-    metrics: KindCounters,
-    snapshot: KindCounters,
-    /// Frames that never resolved to a known request kind.
-    invalid: KindCounters,
+    /// Indexed by [`RequestKind`], with `invalid` (frames that never
+    /// resolved to a known kind) last.
+    kinds: [KindCounters; KINDS],
     /// `solve_stream` time-to-first-chunk: request read to the first chunk
     /// frame handed to the writer. The per-kind `solve_stream` histogram is
     /// the full drain; splitting the two is what keeps streaming latency
@@ -114,83 +152,29 @@ pub struct ServerMetrics {
     stream_first_chunk: LatencyHistogram,
     /// Whether histogram recording is on (the plain counters always are).
     detailed: AtomicBool,
-    /// The serving front-end, for the `stats` reply and the exposition's
-    /// `build_info`: 0 = none yet, 1 = reactor, 2 = stdio.
+    /// The registered [`Backend`] as its discriminant, 0 before any.
     /// Last-started front-end wins when several share one service (the
     /// `--smoke` harness does this deliberately).
     backend: AtomicU8,
-    /// Requests currently dispatched to the worker pool by pipelined
-    /// connections and not yet answered (a gauge, not a counter).
-    pipelined_inflight: AtomicU64,
-    /// High-water mark of `pipelined_inflight` since the service started.
-    pipelined_peak: AtomicU64,
-    /// Currently open TCP connections (a gauge).
-    open_connections: AtomicU64,
-    /// High-water mark of `open_connections` since the service started.
-    peak_connections: AtomicU64,
-    /// Connections accepted and served since the service started.
-    total_accepted: AtomicU64,
-    /// Connections closed at accept time by the `--max-conns` cap.
-    total_rejected: AtomicU64,
-    /// TCP only: times the reactor's event loop woke from `epoll_wait`.
-    reactor_wakeups: AtomicU64,
-    /// TCP only: completed worker-pool jobs whose eventfd
-    /// notification the reactor consumed.
-    reactor_completions: AtomicU64,
-    /// `classify` replies answered by the zero-serialization fast lane: the
-    /// cached payload bytes were spliced around the request id instead of
-    /// serializing the verdict ([`crate::SplicedReply`]).
-    spliced_frames: AtomicU64,
-    /// TCP only: successful `writev` calls that flushed
-    /// connection output (each gathers up to a batch of reply segments —
-    /// compare with `reactor_wakeups` for the coalescing ratio).
-    writev_batches: AtomicU64,
+    /// Indexed by [`Counter`].
+    counters: [AtomicU64; COUNTERS],
 }
 
 impl Default for ServerMetrics {
     fn default() -> Self {
         ServerMetrics {
-            classify: KindCounters::default(),
-            classify_many: KindCounters::default(),
-            solve: KindCounters::default(),
-            solve_stream: KindCounters::default(),
-            generate: KindCounters::default(),
-            stats: KindCounters::default(),
-            health: KindCounters::default(),
-            metrics: KindCounters::default(),
-            snapshot: KindCounters::default(),
-            invalid: KindCounters::default(),
+            kinds: Default::default(),
             stream_first_chunk: LatencyHistogram::new(),
             detailed: AtomicBool::new(true),
             backend: AtomicU8::new(0),
-            pipelined_inflight: AtomicU64::new(0),
-            pipelined_peak: AtomicU64::new(0),
-            open_connections: AtomicU64::new(0),
-            peak_connections: AtomicU64::new(0),
-            total_accepted: AtomicU64::new(0),
-            total_rejected: AtomicU64::new(0),
-            reactor_wakeups: AtomicU64::new(0),
-            reactor_completions: AtomicU64::new(0),
-            spliced_frames: AtomicU64::new(0),
-            writev_batches: AtomicU64::new(0),
+            counters: Default::default(),
         }
     }
 }
 
 impl ServerMetrics {
-    fn counters(&self, kind: Option<RequestKind>) -> &KindCounters {
-        match kind {
-            Some(RequestKind::Classify) => &self.classify,
-            Some(RequestKind::ClassifyMany) => &self.classify_many,
-            Some(RequestKind::Solve) => &self.solve,
-            Some(RequestKind::SolveStream) => &self.solve_stream,
-            Some(RequestKind::Generate) => &self.generate,
-            Some(RequestKind::Stats) => &self.stats,
-            Some(RequestKind::Health) => &self.health,
-            Some(RequestKind::Metrics) => &self.metrics,
-            Some(RequestKind::Snapshot) => &self.snapshot,
-            None => &self.invalid,
-        }
+    fn kind(&self, kind: Option<RequestKind>) -> &KindCounters {
+        &self.kinds[kind.map_or(KINDS - 1, |kind| kind as usize)]
     }
 
     /// Records one handled frame (`None` = unparseable / unknown kind).
@@ -200,7 +184,7 @@ impl ServerMetrics {
     /// the time the job spent queued behind the worker pool — the latency a
     /// pipelined client observes, not just the compute time.
     pub(crate) fn record(&self, kind: Option<RequestKind>, elapsed: Duration, ok: bool) {
-        self.counters(kind).record(elapsed, ok, self.detailed());
+        self.kind(kind).record(elapsed, ok, self.detailed());
     }
 
     /// Records one frame rejected at admission (load shed or quota denial).
@@ -208,7 +192,7 @@ impl ServerMetrics {
     /// the count/error/latency accounting stays symmetric with served
     /// frames; this only bumps the dedicated shed tally.
     pub(crate) fn record_shed(&self, kind: Option<RequestKind>) {
-        self.counters(kind).shed.fetch_add(1, Ordering::Relaxed);
+        self.kind(kind).shed.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a `solve_stream` request's time-to-first-chunk (request read
@@ -231,18 +215,14 @@ impl ServerMetrics {
         self.detailed.load(Ordering::Relaxed)
     }
 
-    /// Registers the serving front-end by name (`reactor` or `stdio`); the
-    /// last started front-end wins when several share one service.
-    pub fn set_backend(&self, name: &str) {
-        let code = match name {
-            "reactor" => 1,
-            "stdio" => 2,
-            _ => 0,
-        };
-        self.backend.store(code, Ordering::Relaxed);
+    /// Registers the serving front-end; the last started front-end wins
+    /// when several share one service.
+    pub fn set_backend(&self, backend: Backend) {
+        self.backend.store(backend as u8, Ordering::Relaxed);
     }
 
-    /// The registered serving front-end (`none` before any registered).
+    /// The registered serving front-end's wire name: `reactor`, `stdio`, or
+    /// `none` before any registered.
     pub fn backend_name(&self) -> &'static str {
         match self.backend.load(Ordering::Relaxed) {
             1 => "reactor",
@@ -251,124 +231,43 @@ impl ServerMetrics {
         }
     }
 
-    /// Accounts one request entering the pipelined in-flight window,
-    /// updating the high-water mark.
-    pub(crate) fn pipeline_enter(&self) {
-        let now = self.pipelined_inflight.fetch_add(1, Ordering::Relaxed) + 1;
-        self.pipelined_peak.fetch_max(now, Ordering::Relaxed);
+    /// Adds `n` to one counter.
+    pub(crate) fn add(&self, counter: Counter, n: u64) {
+        self.counters[counter as usize].fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Accounts one pipelined request leaving the window (its reply was
-    /// produced — successfully or not).
-    pub(crate) fn pipeline_exit(&self) {
-        self.pipelined_inflight.fetch_sub(1, Ordering::Relaxed);
+    /// Raises a gauge by one and its high-water mark `peak` with it.
+    pub(crate) fn enter(&self, gauge: Counter, peak: Counter) {
+        let now = self.counters[gauge as usize].fetch_add(1, Ordering::Relaxed) + 1;
+        self.counters[peak as usize].fetch_max(now, Ordering::Relaxed);
     }
 
-    /// Accounts one accepted connection entering service, updating the
-    /// open-connection gauge and its high-water mark.
-    pub(crate) fn connection_opened(&self) {
-        self.total_accepted.fetch_add(1, Ordering::Relaxed);
-        let now = self.open_connections.fetch_add(1, Ordering::Relaxed) + 1;
-        self.peak_connections.fetch_max(now, Ordering::Relaxed);
+    /// Lowers a gauge by one.
+    pub(crate) fn leave(&self, gauge: Counter) {
+        self.counters[gauge as usize].fetch_sub(1, Ordering::Relaxed);
     }
 
-    /// Accounts one connection leaving service (EOF, error or shutdown).
-    pub(crate) fn connection_closed(&self) {
-        self.open_connections.fetch_sub(1, Ordering::Relaxed);
+    /// The current value of one counter or gauge.
+    pub fn get(&self, counter: Counter) -> u64 {
+        self.counters[counter as usize].load(Ordering::Relaxed)
     }
 
-    /// Accounts one connection closed at accept time by the `--max-conns`
-    /// cap.
-    pub(crate) fn connection_rejected(&self) {
-        self.total_rejected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Accounts one return from the reactor's `epoll_wait`.
-    pub(crate) fn reactor_wakeup(&self) {
-        self.reactor_wakeups.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Accounts `n` job-completion notifications consumed by the reactor.
-    pub(crate) fn reactor_completions(&self, n: u64) {
-        self.reactor_completions.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Accounts one `classify` reply answered by the zero-serialization
-    /// fast lane (cached payload bytes spliced around the request id).
-    pub(crate) fn record_spliced_frame(&self) {
-        self.spliced_frames.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Accounts one successful vectored write flushing connection output on
-    /// the reactor.
-    pub(crate) fn record_writev_batch(&self) {
-        self.writev_batches.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Currently open connections.
-    pub fn open_connections(&self) -> u64 {
-        self.open_connections.load(Ordering::Relaxed)
-    }
-
-    /// The largest number of simultaneously open connections observed since
-    /// the service started.
-    pub fn peak_connections(&self) -> u64 {
-        self.peak_connections.load(Ordering::Relaxed)
-    }
-
-    /// Connections accepted and served since the service started (rejected
-    /// ones are counted separately).
-    pub fn total_accepted(&self) -> u64 {
-        self.total_accepted.load(Ordering::Relaxed)
-    }
-
-    /// Connections closed at accept time by the `--max-conns` cap.
-    pub fn total_rejected(&self) -> u64 {
-        self.total_rejected.load(Ordering::Relaxed)
-    }
-
-    /// Requests currently dispatched by pipelined connections and not yet
-    /// answered.
-    pub fn pipelined_inflight(&self) -> u64 {
-        self.pipelined_inflight.load(Ordering::Relaxed)
-    }
-
-    /// The largest number of simultaneously in-flight pipelined requests
-    /// observed since the service started.
-    pub fn pipelined_peak(&self) -> u64 {
-        self.pipelined_peak.load(Ordering::Relaxed)
-    }
-
-    /// Times the reactor's event loop woke from `epoll_wait` (0 on stdio).
-    pub fn reactor_wakeups(&self) -> u64 {
-        self.reactor_wakeups.load(Ordering::Relaxed)
-    }
-
-    /// Completed worker-pool jobs whose eventfd notification the reactor
-    /// consumed (0 on stdio).
-    pub fn reactor_completion_count(&self) -> u64 {
-        self.reactor_completions.load(Ordering::Relaxed)
-    }
-
-    /// `classify` replies answered by the zero-serialization fast lane.
-    pub fn spliced_frames(&self) -> u64 {
-        self.spliced_frames.load(Ordering::Relaxed)
-    }
-
-    /// Successful vectored writes flushing connection output (0 on stdio).
-    pub fn writev_batches(&self) -> u64 {
-        self.writev_batches.load(Ordering::Relaxed)
+    /// Every counter's current value, indexed by [`Counter`].
+    pub(crate) fn counters(&self) -> [u64; COUNTERS] {
+        self.counters
+            .each_ref()
+            .map(|counter| counter.load(Ordering::Relaxed))
     }
 
     /// Snapshot of one kind's counters (`None` = the `invalid` pseudo-kind).
     pub fn snapshot(&self, kind: Option<RequestKind>) -> KindStats {
-        self.counters(kind).snapshot()
+        self.kind(kind).snapshot()
     }
 
     /// Snapshot of one kind's latency histogram (`None` = the `invalid`
     /// pseudo-kind). Empty while detailed metrics are off.
     pub fn histogram(&self, kind: Option<RequestKind>) -> HistogramSnapshot {
-        self.counters(kind).histogram.snapshot()
+        self.kind(kind).histogram.snapshot()
     }
 
     /// Snapshot of the `solve_stream` time-to-first-chunk histogram (the
@@ -380,121 +279,10 @@ impl ServerMetrics {
     /// Total number of frames handled, across all kinds (including invalid
     /// ones).
     pub fn requests_served(&self) -> u64 {
-        RequestKind::ALL
+        self.kinds
             .iter()
-            .map(|&k| self.snapshot(Some(k)).count)
-            .sum::<u64>()
-            + self.snapshot(None).count
-    }
-
-    /// Serializes all counters for the `stats` response payload. Per-kind
-    /// quantiles come from the latency histograms and are upper-bound
-    /// estimates with ≤ 12.5% relative error (0 while detailed metrics are
-    /// off).
-    pub fn to_json(&self) -> JsonValue {
-        let kind_json = |kind: Option<RequestKind>| {
-            let stats = self.snapshot(kind);
-            let histogram = self.histogram(kind);
-            JsonValue::object([
-                ("count", JsonValue::Int(stats.count as i64)),
-                ("errors", JsonValue::Int(stats.errors as i64)),
-                ("shed", JsonValue::Int(stats.shed as i64)),
-                ("total_micros", JsonValue::Int(stats.total_micros as i64)),
-                ("max_micros", JsonValue::Int(stats.max_micros as i64)),
-                ("mean_micros", JsonValue::Int(stats.mean_micros() as i64)),
-                (
-                    "p50_micros",
-                    JsonValue::Int(histogram.quantile(0.50) as i64),
-                ),
-                (
-                    "p90_micros",
-                    JsonValue::Int(histogram.quantile(0.90) as i64),
-                ),
-                (
-                    "p99_micros",
-                    JsonValue::Int(histogram.quantile(0.99) as i64),
-                ),
-                (
-                    "p999_micros",
-                    JsonValue::Int(histogram.quantile(0.999) as i64),
-                ),
-            ])
-        };
-        let first_chunk = self.stream_first_chunk_histogram();
-        JsonValue::object([
-            (
-                "requests_served",
-                JsonValue::Int(self.requests_served() as i64),
-            ),
-            (
-                "pipeline",
-                JsonValue::object([
-                    ("inflight", JsonValue::Int(self.pipelined_inflight() as i64)),
-                    (
-                        "peak_inflight",
-                        JsonValue::Int(self.pipelined_peak() as i64),
-                    ),
-                ]),
-            ),
-            (
-                "connections",
-                JsonValue::object([
-                    ("open", JsonValue::Int(self.open_connections() as i64)),
-                    ("peak", JsonValue::Int(self.peak_connections() as i64)),
-                    ("accepted", JsonValue::Int(self.total_accepted() as i64)),
-                    ("rejected", JsonValue::Int(self.total_rejected() as i64)),
-                ]),
-            ),
-            (
-                "reactor",
-                JsonValue::object([
-                    ("wakeups", JsonValue::Int(self.reactor_wakeups() as i64)),
-                    (
-                        "completions",
-                        JsonValue::Int(self.reactor_completion_count() as i64),
-                    ),
-                ]),
-            ),
-            (
-                "spliced_frames",
-                JsonValue::Int(self.spliced_frames() as i64),
-            ),
-            (
-                "writev_batches",
-                JsonValue::Int(self.writev_batches() as i64),
-            ),
-            (
-                "stream_first_chunk",
-                JsonValue::object([
-                    ("count", JsonValue::Int(first_chunk.count as i64)),
-                    ("mean_micros", JsonValue::Int(first_chunk.mean() as i64)),
-                    ("max_micros", JsonValue::Int(first_chunk.max as i64)),
-                    (
-                        "p50_micros",
-                        JsonValue::Int(first_chunk.quantile(0.50) as i64),
-                    ),
-                    (
-                        "p99_micros",
-                        JsonValue::Int(first_chunk.quantile(0.99) as i64),
-                    ),
-                ]),
-            ),
-            (
-                "kinds",
-                JsonValue::object([
-                    ("classify", kind_json(Some(RequestKind::Classify))),
-                    ("classify_many", kind_json(Some(RequestKind::ClassifyMany))),
-                    ("solve", kind_json(Some(RequestKind::Solve))),
-                    ("solve_stream", kind_json(Some(RequestKind::SolveStream))),
-                    ("generate", kind_json(Some(RequestKind::Generate))),
-                    ("stats", kind_json(Some(RequestKind::Stats))),
-                    ("health", kind_json(Some(RequestKind::Health))),
-                    ("metrics", kind_json(Some(RequestKind::Metrics))),
-                    ("snapshot", kind_json(Some(RequestKind::Snapshot))),
-                    ("invalid", kind_json(None)),
-                ]),
-            ),
-        ])
+            .map(|kind| kind.count.load(Ordering::Relaxed))
+            .sum()
     }
 }
 
@@ -523,12 +311,6 @@ mod tests {
         assert_eq!(metrics.snapshot(Some(RequestKind::Solve)).count, 0);
         assert_eq!(metrics.snapshot(None).errors, 1);
         assert_eq!(metrics.requests_served(), 3);
-
-        let json = metrics.to_json().to_json_string();
-        assert!(json.contains("\"requests_served\":3"), "{json}");
-        assert!(json.contains("\"invalid\""), "{json}");
-        assert!(json.contains("\"metrics\""), "{json}");
-        assert!(json.contains("\"p99_micros\""), "{json}");
     }
 
     #[test]
@@ -550,10 +332,6 @@ mod tests {
             "shed frames must land in the histogram too"
         );
         assert_eq!(metrics.snapshot(Some(RequestKind::Classify)).shed, 0);
-
-        let json = metrics.to_json().to_json_string();
-        assert!(json.contains("\"shed\":1"), "{json}");
-        assert!(json.contains("\"shed\":0"), "{json}");
     }
 
     #[test]
@@ -607,66 +385,73 @@ mod tests {
     fn backend_registration_is_last_wins() {
         let metrics = ServerMetrics::default();
         assert_eq!(metrics.backend_name(), "none");
-        metrics.set_backend("reactor");
+        metrics.set_backend(Backend::Reactor);
         assert_eq!(metrics.backend_name(), "reactor");
-        metrics.set_backend("stdio");
+        metrics.set_backend(Backend::Stdio);
         assert_eq!(metrics.backend_name(), "stdio");
-        metrics.set_backend("bogus");
-        assert_eq!(metrics.backend_name(), "none");
+        metrics.set_backend(Backend::Reactor);
+        assert_eq!(metrics.backend_name(), "reactor");
     }
 
     #[test]
     fn connection_gauges_track_open_peak_accepted_rejected() {
         let metrics = ServerMetrics::default();
-        metrics.connection_opened();
-        metrics.connection_opened();
-        metrics.connection_opened();
-        assert_eq!(metrics.open_connections(), 3);
-        assert_eq!(metrics.peak_connections(), 3);
-        assert_eq!(metrics.total_accepted(), 3);
-        metrics.connection_closed();
-        metrics.connection_closed();
-        assert_eq!(metrics.open_connections(), 1);
-        assert_eq!(metrics.peak_connections(), 3, "peak is a high-water mark");
-        metrics.connection_rejected();
-        assert_eq!(metrics.total_rejected(), 1);
+        let open = || {
+            metrics.add(Counter::ConnectionsAccepted, 1);
+            metrics.enter(Counter::ConnectionsOpen, Counter::ConnectionsPeak);
+        };
+        open();
+        open();
+        open();
+        assert_eq!(metrics.get(Counter::ConnectionsOpen), 3);
+        assert_eq!(metrics.get(Counter::ConnectionsPeak), 3);
+        assert_eq!(metrics.get(Counter::ConnectionsAccepted), 3);
+        metrics.leave(Counter::ConnectionsOpen);
+        metrics.leave(Counter::ConnectionsOpen);
+        assert_eq!(metrics.get(Counter::ConnectionsOpen), 1);
         assert_eq!(
-            metrics.total_accepted(),
+            metrics.get(Counter::ConnectionsPeak),
+            3,
+            "peak is a high-water mark"
+        );
+        metrics.add(Counter::ConnectionsRejected, 1);
+        assert_eq!(metrics.get(Counter::ConnectionsRejected), 1);
+        assert_eq!(
+            metrics.get(Counter::ConnectionsAccepted),
             3,
             "rejected connections are not accepted ones"
         );
 
-        metrics.reactor_wakeup();
-        metrics.reactor_completions(5);
-        assert_eq!(metrics.reactor_wakeups(), 1);
-        assert_eq!(metrics.reactor_completion_count(), 5);
-
-        let json = metrics.to_json().to_json_string();
-        assert!(json.contains("\"connections\""), "{json}");
-        assert!(json.contains("\"peak\":3"), "{json}");
-        assert!(json.contains("\"rejected\":1"), "{json}");
-        assert!(json.contains("\"reactor\""), "{json}");
-        assert!(json.contains("\"completions\":5"), "{json}");
+        metrics.add(Counter::ReactorWakeups, 1);
+        metrics.add(Counter::ReactorCompletions, 5);
+        assert_eq!(metrics.get(Counter::ReactorWakeups), 1);
+        assert_eq!(metrics.get(Counter::ReactorCompletions), 5);
+        assert_eq!(metrics.get(Counter::WritevBatches), 0, "counters are apart");
     }
 
     #[test]
     fn pipeline_gauges_track_inflight_and_peak() {
         let metrics = ServerMetrics::default();
-        assert_eq!(metrics.pipelined_inflight(), 0);
-        metrics.pipeline_enter();
-        metrics.pipeline_enter();
-        metrics.pipeline_enter();
-        assert_eq!(metrics.pipelined_inflight(), 3);
-        assert_eq!(metrics.pipelined_peak(), 3);
-        metrics.pipeline_exit();
-        metrics.pipeline_exit();
-        assert_eq!(metrics.pipelined_inflight(), 1);
-        assert_eq!(metrics.pipelined_peak(), 3, "peak is a high-water mark");
-        metrics.pipeline_enter();
-        assert_eq!(metrics.pipelined_peak(), 3, "returning below peak keeps it");
-
-        let json = metrics.to_json().to_json_string();
-        assert!(json.contains("\"pipeline\""), "{json}");
-        assert!(json.contains("\"peak_inflight\":3"), "{json}");
+        let enter = || metrics.enter(Counter::PipelineInflight, Counter::PipelinePeak);
+        assert_eq!(metrics.get(Counter::PipelineInflight), 0);
+        enter();
+        enter();
+        enter();
+        assert_eq!(metrics.get(Counter::PipelineInflight), 3);
+        assert_eq!(metrics.get(Counter::PipelinePeak), 3);
+        metrics.leave(Counter::PipelineInflight);
+        metrics.leave(Counter::PipelineInflight);
+        assert_eq!(metrics.get(Counter::PipelineInflight), 1);
+        assert_eq!(
+            metrics.get(Counter::PipelinePeak),
+            3,
+            "peak is a high-water mark"
+        );
+        enter();
+        assert_eq!(
+            metrics.get(Counter::PipelinePeak),
+            3,
+            "returning below peak keeps it"
+        );
     }
 }

@@ -33,6 +33,7 @@ mod poll;
 mod sys;
 
 use crate::frame::{FrameDecoder, MAX_FRAME_BYTES};
+use crate::metrics::Counter;
 use crate::service::{PendingResponse, Service, StreamFrame};
 use crate::splice::FRAME_TAIL;
 use crate::trace::Trace;
@@ -172,7 +173,7 @@ impl Reactor {
     pub(crate) fn run(mut self) -> io::Result<()> {
         let outcome = self.serve();
         for _ in self.conns.drain() {
-            self.service.metrics().connection_closed();
+            self.service.metrics().leave(Counter::ConnectionsOpen);
         }
         outcome
     }
@@ -186,7 +187,7 @@ impl Reactor {
             // event ever fires.
             let timeout_ms = if self.listener_paused { 50 } else { -1 };
             let ready = self.epoll.wait(&mut buf, timeout_ms)?;
-            self.service.metrics().reactor_wakeup();
+            self.service.metrics().add(Counter::ReactorWakeups, 1);
             if self.control.shutdown_requested() {
                 return Ok(());
             }
@@ -204,9 +205,10 @@ impl Reactor {
                 self.control.wake.drain();
                 let before = touched.len();
                 self.control.take_dirty(&mut touched);
+                let completions = (touched.len() - before) as u64;
                 self.service
                     .metrics()
-                    .reactor_completions((touched.len() - before) as u64);
+                    .add(Counter::ReactorCompletions, completions);
             }
             if self.listener_paused
                 && self
@@ -240,7 +242,7 @@ impl Reactor {
                         // Reject-with-close: the cap bounds fd usage, and a
                         // closed socket is an unambiguous signal the client
                         // can retry on.
-                        self.service.metrics().connection_rejected();
+                        self.service.metrics().add(Counter::ConnectionsRejected, 1);
                         continue;
                     }
                     if stream.set_nonblocking(true).is_err() {
@@ -254,7 +256,9 @@ impl Reactor {
                     if self.epoll.add(stream.as_raw_fd(), EPOLLIN, token).is_err() {
                         continue; // fd pressure; drop the connection
                     }
-                    self.service.metrics().connection_opened();
+                    let metrics = self.service.metrics();
+                    metrics.add(Counter::ConnectionsAccepted, 1);
+                    metrics.enter(Counter::ConnectionsOpen, Counter::ConnectionsPeak);
                     self.conns
                         .insert(token, Conn::new(stream, token, self.max_inflight));
                 }
@@ -292,7 +296,7 @@ impl Reactor {
                 let _ = self.epoll.delete(conn.stream.as_raw_fd());
             }
             self.conns.remove(&token);
-            self.service.metrics().connection_closed();
+            self.service.metrics().leave(Counter::ConnectionsOpen);
             return;
         }
         let desired = conn.desired_interest();
@@ -324,7 +328,7 @@ impl Reactor {
             // Epoll bookkeeping failed (fd pressure): the connection can
             // never be woken again, so close it now rather than leak it.
             self.conns.remove(&token);
-            self.service.metrics().connection_closed();
+            self.service.metrics().leave(Counter::ConnectionsOpen);
         }
     }
 }
@@ -609,7 +613,7 @@ impl Conn {
             } else if wrote == 0 {
                 self.dead = true;
             } else {
-                service.metrics().record_writev_batch();
+                service.metrics().add(Counter::WritevBatches, 1);
                 self.advance_written(wrote as usize);
                 progressed = true;
             }

@@ -32,7 +32,7 @@
 
 use crate::admission::{AdmissionConfig, QuotaLimiter, ShedPolicy};
 use crate::frame::{Frame, MAX_FRAME_BYTES};
-use crate::metrics::ServerMetrics;
+use crate::metrics::{Counter, ServerMetrics};
 use crate::splice::SplicedReply;
 use crate::trace::{Trace, TraceSink};
 use lcl_paths::classifier::{ClassifierError, ReplyLane, Verdict};
@@ -329,7 +329,7 @@ struct PipelineGuard<'a>(&'a ServerMetrics);
 
 impl Drop for PipelineGuard<'_> {
     fn drop(&mut self) {
-        self.0.pipeline_exit();
+        self.0.leave(Counter::PipelineInflight);
     }
 }
 
@@ -662,7 +662,8 @@ impl Service {
         // and whichever Arc drops last finalizes it if nobody did.
         let trace = self.new_trace(started, id);
         let job_trace = trace.clone();
-        self.metrics.pipeline_enter();
+        self.metrics
+            .enter(Counter::PipelineInflight, Counter::PipelinePeak);
         let (tx, rx) = mpsc::sync_channel::<StreamFrame>(STREAM_CHANNEL_DEPTH);
         let notify = Arc::new(notify);
         let dropped_notify = Arc::clone(&notify);
@@ -792,9 +793,12 @@ impl Service {
                 self.solve_stream(envelope.id, payload, started, ctx, emit, trace)
             }
             RequestKind::Generate => self.generate(payload),
-            RequestKind::Stats => self.stats(),
+            RequestKind::Stats => Ok(crate::expo::render_stats(self)),
             RequestKind::Health => self.health(),
-            RequestKind::Metrics => self.metrics_exposition(),
+            RequestKind::Metrics => Ok(JsonValue::object([(
+                "exposition",
+                JsonValue::Str(crate::expo::render_exposition(self)),
+            )])),
             RequestKind::Snapshot => self.snapshot(),
         }
     }
@@ -856,7 +860,7 @@ impl Service {
                         trace.mark_computed(true);
                         trace.mark_serialized();
                     }
-                    self.metrics.record_spliced_frame();
+                    self.metrics.add(Counter::SplicedFrames, 1);
                     self.metrics
                         .record(Some(RequestKind::Classify), started.elapsed(), true);
                     return Some(PendingResponse::resolved(
@@ -907,7 +911,7 @@ impl Service {
                         hash: problem.canonical_hash(),
                     });
                 }
-                self.metrics.record_spliced_frame();
+                self.metrics.add(Counter::SplicedFrames, 1);
                 StreamFrame::Spliced(SplicedReply::new(envelope.id, payload))
             }
             // The cached bytes were rendered for a structural twin under a
@@ -1142,17 +1146,6 @@ impl Service {
         ]))
     }
 
-    /// The `metrics` kind: the same counters the `stats` JSON reports, as
-    /// one plaintext metrics exposition document ([`crate::expo`]) inside
-    /// the reply payload. This is the transport-independent scrape path —
-    /// the `--metrics-addr` HTTP listener serves the identical document.
-    fn metrics_exposition(&self) -> Result<JsonValue, Error> {
-        Ok(JsonValue::object([(
-            "exposition",
-            JsonValue::Str(crate::expo::render_exposition(self)),
-        )]))
-    }
-
     /// The `snapshot` kind: writes the warm-cache snapshot to the
     /// configured `--cache-snapshot` path and reports what was written.
     /// Always admitted (a control kind): checkpointing must work exactly
@@ -1232,89 +1225,6 @@ impl Service {
         })
     }
 
-    /// Server identity and configuration for the `stats` reply's `server`
-    /// block (and the exposition's `build_info`).
-    fn server_info(&self) -> [(&'static str, JsonValue); 5] {
-        [
-            (
-                "backend",
-                JsonValue::Str(self.metrics.backend_name().to_string()),
-            ),
-            (
-                "cache_shards",
-                JsonValue::Int(self.engine.cache_shards() as i64),
-            ),
-            (
-                "uptime_seconds",
-                JsonValue::Int(i64::try_from(self.started.elapsed().as_secs()).unwrap_or(i64::MAX)),
-            ),
-            (
-                "version",
-                JsonValue::Str(env!("CARGO_PKG_VERSION").to_string()),
-            ),
-            ("workers", JsonValue::Int(self.engine.parallelism() as i64)),
-        ]
-    }
-
-    fn stats(&self) -> Result<JsonValue, Error> {
-        let cache = self.engine.cache_stats();
-        let pool = self.engine.pool_stats();
-        let mut server = self.metrics.to_json();
-        if let JsonValue::Object(fields) = &mut server {
-            for (key, value) in self.server_info() {
-                fields.insert(key.to_string(), value);
-            }
-        }
-        Ok(JsonValue::object([
-            (
-                "cache",
-                JsonValue::object([
-                    ("hits", JsonValue::Int(cache.hits as i64)),
-                    ("fast_hits", JsonValue::Int(cache.fast_hits as i64)),
-                    ("locked_hits", JsonValue::Int(cache.locked_hits as i64)),
-                    (
-                        "flight_leaders",
-                        JsonValue::Int(cache.flight_leaders as i64),
-                    ),
-                    ("flight_joins", JsonValue::Int(cache.flight_joins as i64)),
-                    ("misses", JsonValue::Int(cache.misses as i64)),
-                    ("bytes_hits", JsonValue::Int(cache.bytes_hits as i64)),
-                    ("bytes_misses", JsonValue::Int(cache.bytes_misses as i64)),
-                    ("entries", JsonValue::Int(cache.entries as i64)),
-                    ("evictions", JsonValue::Int(cache.evictions as i64)),
-                    ("inserts", JsonValue::Int(cache.inserts as i64)),
-                    ("peak_entries", JsonValue::Int(cache.peak_entries as i64)),
-                    ("weight", JsonValue::Int(cache.weight as i64)),
-                    ("peak_weight", JsonValue::Int(cache.peak_weight as i64)),
-                    ("shards", JsonValue::Int(cache.shards as i64)),
-                    (
-                        "hit_ratio",
-                        JsonValue::Str(format!("{:.4}", cache.hit_ratio())),
-                    ),
-                    // The human-oriented summary comes straight from the
-                    // CacheStats Display impl — no hand-formatting here.
-                    ("summary", JsonValue::Str(cache.to_string())),
-                ]),
-            ),
-            (
-                "pool",
-                JsonValue::object([
-                    ("workers", JsonValue::Int(pool.workers as i64)),
-                    ("queue_depth", JsonValue::Int(pool.queue_depth as i64)),
-                    ("jobs_completed", JsonValue::Int(pool.jobs_completed as i64)),
-                    ("summary", JsonValue::Str(pool.to_string())),
-                ]),
-            ),
-            ("server", server),
-            (
-                "uptime_ms",
-                JsonValue::Int(
-                    i64::try_from(self.started.elapsed().as_millis()).unwrap_or(i64::MAX),
-                ),
-            ),
-        ]))
-    }
-
     fn health(&self) -> Result<JsonValue, Error> {
         Ok(JsonValue::object([
             ("status", JsonValue::Str("ok".to_string())),
@@ -1381,8 +1291,8 @@ mod tests {
         );
 
         // The window gauge drained and recorded its high-water mark.
-        assert_eq!(service.metrics().pipelined_inflight(), 0);
-        assert!(service.metrics().pipelined_peak() >= 1);
+        assert_eq!(service.metrics().get(Counter::PipelineInflight), 0);
+        assert!(service.metrics().get(Counter::PipelinePeak) >= 1);
     }
 
     #[test]
@@ -1405,7 +1315,7 @@ mod tests {
         );
         // Accounted as an invalid frame, without touching the pool.
         assert_eq!(service.metrics().snapshot(None).errors, 1);
-        assert_eq!(service.metrics().pipelined_peak(), 0);
+        assert_eq!(service.metrics().get(Counter::PipelinePeak), 0);
     }
 
     #[test]
@@ -1415,7 +1325,7 @@ mod tests {
         // Cold: the miss runs on the pool; nothing to splice yet.
         let cold = dispatch(&service, classify_line(1), None).wait();
         assert!(ResponseEnvelope::from_json_str(&cold).unwrap().is_ok());
-        assert_eq!(service.metrics().spliced_frames(), 0);
+        assert_eq!(service.metrics().get(Counter::SplicedFrames), 0);
 
         // First hot hit: resolved on the calling thread; this request pays
         // the one render that attaches the reply bytes (a bytes miss), and
@@ -1430,25 +1340,29 @@ mod tests {
             service.handle_line_string(&classify_line(2)),
             "spliced frame must be byte-identical to the canonical serializer"
         );
-        assert_eq!(service.metrics().spliced_frames(), 1);
+        assert_eq!(service.metrics().get(Counter::SplicedFrames), 1);
         assert_eq!(service.engine().cache_stats().bytes_misses, 1);
 
         // Second hot hit reuses the attached bytes: a bytes hit, shared
         // payload, still byte-identical modulo the spliced id.
         let again = dispatch(&service, classify_line(-3), None).wait();
         assert_eq!(again, service.handle_line_string(&classify_line(-3)));
-        assert_eq!(service.metrics().spliced_frames(), 2);
+        assert_eq!(service.metrics().get(Counter::SplicedFrames), 2);
         assert_eq!(service.engine().cache_stats().bytes_hits, 1);
 
         // The lane never takes a pipeline-window slot.
-        assert_eq!(service.metrics().pipelined_inflight(), 0);
+        assert_eq!(service.metrics().get(Counter::PipelineInflight), 0);
 
         // Toggled off, the same hot frame goes through the pool and still
         // serializes identically — the lane is invisible on the wire.
         service.set_reply_splice(false);
         let slow = dispatch(&service, classify_line(4), None).wait();
         assert_eq!(slow, service.handle_line_string(&classify_line(4)));
-        assert_eq!(service.metrics().spliced_frames(), 2, "lane was off");
+        assert_eq!(
+            service.metrics().get(Counter::SplicedFrames),
+            2,
+            "lane was off"
+        );
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! flush, repeat.
 
 use crate::frame::{read_frame, write_reply, FrameDecoder, MAX_FRAME_BYTES};
+use crate::metrics::Backend;
 use crate::service::Service;
 use std::io::{self, BufRead, Write};
 use std::sync::Arc;
@@ -31,7 +32,7 @@ pub fn serve_stdio(
     mut input: impl BufRead,
     mut output: impl Write,
 ) -> io::Result<()> {
-    service.metrics().set_backend("stdio");
+    service.metrics().set_backend(Backend::Stdio);
     let mut decoder = FrameDecoder::new(MAX_FRAME_BYTES);
     while let Some(frame) = read_frame(&mut input, &mut decoder)? {
         let mut pending = service.dispatch(frame, None, || {});
@@ -97,7 +98,7 @@ mod tests {
             "spliced reply must differ from the fresh one only in the id"
         );
         assert_eq!(lines[2].replace("\"id\":3", "\"id\":1"), lines[0]);
-        assert_eq!(service.metrics().spliced_frames(), 2);
+        assert_eq!(service.metrics().get(crate::Counter::SplicedFrames), 2);
         assert_eq!(service.engine().cache_stats().bytes_hits, 1);
         assert_eq!(service.engine().cache_stats().bytes_misses, 1);
     }

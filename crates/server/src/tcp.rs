@@ -16,6 +16,7 @@
 //! when the listener's address is not connectable from here — then closes
 //! every open connection and joins the reactor thread before returning.
 
+use crate::metrics::Backend;
 use crate::reactor::{Control, Reactor};
 use crate::service::Service;
 use std::io;
@@ -92,7 +93,7 @@ impl Server {
     /// the listener and control eventfd with a fresh epoll set, so setup
     /// failures surface before any thread is spawned.
     fn reactor(self, control: &Arc<Control>) -> io::Result<Reactor> {
-        self.service.metrics().set_backend("reactor");
+        self.service.metrics().set_backend(Backend::Reactor);
         Reactor::new(
             self.listener,
             self.service,

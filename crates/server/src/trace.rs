@@ -34,14 +34,7 @@ pub const DEFAULT_TRACE_RING_CAPACITY: usize = 256;
 /// (`TraceRecord::kind`): its position in [`RequestKind::ALL`], with
 /// [`TraceRecord::KIND_INVALID`] for frames that never resolved to a kind.
 pub fn kind_index(kind: Option<RequestKind>) -> TraceKind {
-    match kind {
-        Some(kind) => RequestKind::ALL
-            .iter()
-            .position(|&k| k == kind)
-            .map(|at| at as TraceKind)
-            .unwrap_or(TraceRecord::KIND_INVALID),
-        None => TraceRecord::KIND_INVALID,
-    }
+    kind.map_or(TraceRecord::KIND_INVALID, |kind| kind as TraceKind)
 }
 
 /// The wire name of a [`TraceRecord::kind`] index (`invalid` for

@@ -6,7 +6,7 @@
 use lcl_paths::problem::json::JsonValue;
 use lcl_paths::problem::{RequestEnvelope, ResponseEnvelope};
 use lcl_paths::{problems, Engine};
-use lcl_server::{serve_stdio, Client, Server, Service, MAX_FRAME_BYTES};
+use lcl_server::{serve_stdio, Client, Counter, Server, Service, MAX_FRAME_BYTES};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -226,7 +226,11 @@ fn pipelined_burst_interleaving_malformed_frames_survives() {
         .classify(&problems::coloring(3).to_spec())
         .expect("connection survives the mixed burst");
     assert_eq!(verdict.complexity.wire_name(), "log-star");
-    assert_eq!(service.metrics().pipelined_inflight(), 0, "window drained");
+    assert_eq!(
+        service.metrics().get(Counter::PipelineInflight),
+        0,
+        "window drained"
+    );
     drop(client);
     handle.shutdown();
 }

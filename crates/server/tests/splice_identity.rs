@@ -11,7 +11,7 @@ use lcl_paths::problem::{
     Instance, RequestEnvelope, ResponseEnvelope, StreamInputs, StreamInstanceSpec, Topology,
 };
 use lcl_paths::{problems, Engine};
-use lcl_server::{serve_stdio, Client, Server, Service};
+use lcl_server::{serve_stdio, Client, Counter, Server, Service};
 use std::sync::Arc;
 
 fn service() -> Arc<Service> {
@@ -114,7 +114,7 @@ fn with_id_1(line: &str, id: i64) -> String {
 /// classifies all spliced; the first of them rendered and attached the
 /// bytes, the other two reused them.
 fn assert_fast_lane_engaged(service: &Service, ctx: &str) {
-    assert_eq!(service.metrics().spliced_frames(), 3, "[{ctx}]");
+    assert_eq!(service.metrics().get(Counter::SplicedFrames), 3, "[{ctx}]");
     let cache = service.engine().cache_stats();
     assert_eq!(cache.bytes_misses, 1, "[{ctx}]");
     assert_eq!(cache.bytes_hits, 2, "[{ctx}]");
@@ -203,7 +203,7 @@ fn splicing_on_and_off_produce_the_same_bytes_for_deterministic_kinds() {
             .lines()
             .map(str::to_string)
             .collect();
-        (lines, service.metrics().spliced_frames())
+        (lines, service.metrics().get(Counter::SplicedFrames))
     };
     let (spliced, fast) = run(true);
     let (rendered, slow) = run(false);
@@ -258,7 +258,7 @@ fn string_ids_with_escapable_characters_error_and_never_splice() {
 
     // Exactly the two hot classifies touched the fast lane: one attach,
     // one reuse, zero contributions from the five broken frames.
-    assert_eq!(service.metrics().spliced_frames(), 2);
+    assert_eq!(service.metrics().get(Counter::SplicedFrames), 2);
     let cache = service.engine().cache_stats();
     assert_eq!(cache.bytes_misses, 1);
     assert_eq!(cache.bytes_hits, 1);

@@ -7,7 +7,7 @@ use lcl_paths::problem::json::JsonValue;
 use lcl_paths::problem::{Instance, RequestEnvelope, ResponseEnvelope, Topology};
 use lcl_paths::problems::{corpus, KnownComplexity};
 use lcl_paths::Engine;
-use lcl_server::{serve_stdio, Client, ClientError, Server, ServerHandle, Service};
+use lcl_server::{serve_stdio, Client, ClientError, Counter, Server, ServerHandle, Service};
 use std::sync::Arc;
 
 fn start_server(workers: usize) -> (ServerHandle, Arc<Service>) {
@@ -119,7 +119,7 @@ fn pipelined_burst_replies_in_order_and_byte_identical() {
     assert!(pipeline.require("peak_inflight").unwrap().as_int().unwrap() >= 1);
     // Once the stats reply has been received its own job has exited the
     // window too: the gauge must read exactly zero now.
-    assert_eq!(service.metrics().pipelined_inflight(), 0);
+    assert_eq!(service.metrics().get(Counter::PipelineInflight), 0);
     drop(client);
     handle.shutdown();
 }
@@ -154,9 +154,9 @@ fn small_inflight_window_backpressures_without_reordering() {
     // this connection dispatched-but-unwritten (the reader takes a slot
     // before dispatching, the writer frees it after writing).
     assert!(
-        service.metrics().pipelined_peak() <= 2,
+        service.metrics().get(Counter::PipelinePeak) <= 2,
         "window 2 must cap concurrent dispatches at 2, saw peak {}",
-        service.metrics().pipelined_peak()
+        service.metrics().get(Counter::PipelinePeak)
     );
     drop(client);
     handle.shutdown();

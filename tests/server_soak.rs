@@ -6,7 +6,7 @@
 use lcl_paths::problem::json::JsonValue;
 use lcl_paths::problem::{RequestEnvelope, ResponseEnvelope};
 use lcl_paths::{problems, Engine};
-use lcl_server::{Client, Server, ServerHandle, Service};
+use lcl_server::{Client, Counter, Server, ServerHandle, Service};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -58,10 +58,10 @@ fn soak_128_concurrent_pipelined_clients_per_backend() {
         .map(|i| Client::connect(addr).unwrap_or_else(|e| panic!("connect {i}: {e}")))
         .collect();
     wait_until(&format!("all {CLIENTS} connections open"), 30, || {
-        service.metrics().open_connections() >= CLIENTS as u64
+        service.metrics().get(Counter::ConnectionsOpen) >= CLIENTS as u64
     });
     assert!(
-        service.metrics().peak_connections() >= CLIENTS as u64,
+        service.metrics().get(Counter::ConnectionsPeak) >= CLIENTS as u64,
         "peak gauge must see the soak"
     );
 
@@ -135,10 +135,10 @@ fn soak_128_concurrent_pipelined_clients_per_backend() {
     // Every client has disconnected: the open gauge must settle back to 0
     // (connection teardown is asynchronous).
     wait_until("open connections back to 0", 30, || {
-        service.metrics().open_connections() == 0
+        service.metrics().get(Counter::ConnectionsOpen) == 0
     });
     assert!(
-        service.metrics().total_accepted() >= (CLIENTS + 1) as u64,
+        service.metrics().get(Counter::ConnectionsAccepted) >= (CLIENTS + 1) as u64,
         "accepted all soak clients"
     );
     handle.shutdown();
@@ -306,10 +306,10 @@ fn max_conns_rejects_excess_connections_on_every_backend() {
         "connection past --max-conns must be closed unserved"
     );
     wait_until("rejection counted", 10, || {
-        service.metrics().total_rejected() >= 1
+        service.metrics().get(Counter::ConnectionsRejected) >= 1
     });
     assert_eq!(
-        service.metrics().open_connections(),
+        service.metrics().get(Counter::ConnectionsOpen),
         2,
         "rejected connection must not occupy a slot"
     );
@@ -317,7 +317,7 @@ fn max_conns_rejects_excess_connections_on_every_backend() {
     // Freeing a slot makes room again.
     drop(second);
     wait_until("slot freed", 10, || {
-        service.metrics().open_connections() == 1
+        service.metrics().get(Counter::ConnectionsOpen) == 1
     });
     let mut fourth = Client::connect(addr).expect("fourth connect");
     fourth
@@ -338,7 +338,7 @@ fn shutdown_never_dials_its_own_listener() {
     let (handle, service) = start_server();
     handle.shutdown();
     assert_eq!(
-        service.metrics().total_accepted(),
+        service.metrics().get(Counter::ConnectionsAccepted),
         0,
         "shutdown must not fabricate a connection to wake accept"
     );
